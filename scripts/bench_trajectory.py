@@ -15,7 +15,7 @@ Usage::
 Notes on reading the numbers: the parallel speedup is bounded by the cores
 the process may actually use — reported as both ``cpu_count`` (machine
 total) and ``cpu_affinity`` (scheduler mask; smaller under container CPU
-limits) — while the memoized-replay and batch-kernel tiers are
+limits) — while the memoized-replay and scalar-vs-batch ratios are
 hardware-independent.
 """
 
@@ -40,9 +40,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.chain_stats import ChainProfile  # noqa: E402
 from repro.core.registry import PAPER_ORDER  # noqa: E402
 from repro.core.types import Resources  # noqa: E402
-from repro.engine import CampaignEngine  # noqa: E402
-from repro.obs import ObsConfig  # noqa: E402
-from repro.obs.sketch import DEFAULT_ALPHA, SKETCH_VERSION  # noqa: E402
+from repro.engine import CampaignEngine, resolve_jobs  # noqa: E402
+from repro.engine.reference import scalar_arrays  # noqa: E402
+from repro.obs.sketch import DEFAULT_ALPHA, SKETCH_VERSION, sketch_of  # noqa: E402
 from repro.sim import SimConfig, bursty_trace, simulate  # noqa: E402
 from repro.workloads.synthetic import (  # noqa: E402
     GeneratorConfig,
@@ -56,7 +56,7 @@ TABLE1_BUDGETS = (Resources(16, 4), Resources(10, 10), Resources(4, 16))
 #: accept it (tracks what the k-type generalization costs on the hot path).
 KTYPE_BUDGET = Resources.from_counts((4, 4, 2))
 KTYPE_STRATEGIES = ("fertac", "2catac", "otac_b", "otac_l")
-#: Strategies with a batch kernel, timed python-vs-batch on the campaign.
+#: Strategies with a batch kernel, timed scalar-vs-batch on the campaign.
 KERNEL_STRATEGIES = ("herad", "2catac")
 
 
@@ -105,7 +105,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--tasks", type=int, default=20)
     parser.add_argument("--stateless-ratio", type=float, default=0.5)
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel tier worker count (default: all cores)")
+                        help="parallel tier worker count (default: all usable cores)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--latency-chains", type=int, default=20,
                         help="chains averaged per strategy latency point")
@@ -118,7 +118,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         default=REPO_ROOT / "BENCH_engine.json")
     args = parser.parse_args(argv)
 
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = resolve_jobs(args.jobs)
     config = GeneratorConfig(
         num_tasks=args.tasks, stateless_ratio=args.stateless_ratio
     )
@@ -197,31 +197,26 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     print(f"  k-type latency  budget {ktype_key}: {ktype_latencies_us}")
 
-    # Kernel scenario: the same campaign through the scalar python solvers
-    # vs the batch-vectorized kernel tier, per batchable strategy.  Results
-    # must stay bitwise identical — the speedup is the entire point.
+    # Kernel scenario: the same campaign through the scalar strategy
+    # functions called cell by cell (the reference map, no engine) vs the
+    # engine's solve_batch path, per batchable strategy.  Results must stay
+    # bitwise identical — the speedup is the entire point.  The scalar
+    # per-solve latency quantiles come from timing those scalar solves.
     kernel_wall_s: dict[str, dict[str, float]] = {}
     kernel_speedup: dict[str, float] = {}
     kernel_latency_us: dict[str, dict[str, float]] = {}
     kernel_mismatch = False
-    batch_engine = CampaignEngine(
-        jobs=1, backend="serial", memo=False, kernel="batch"
-    )
-    # Untimed metrics-enabled pass: per-solve latency quantiles from the obs
-    # sketches (kept separate so obs overhead never touches the timed walls).
-    quantile_engine = CampaignEngine(
-        jobs=1, backend="serial", memo=False, obs=ObsConfig(metrics=True)
-    )
     for name in KERNEL_STRATEGIES:
+        solve_seconds: list[float] = []
         python_s, python_arrays = _time(
             functools.partial(
-                serial_engine.solve_instances, chains, TABLE1_BUDGET, (name,)
+                scalar_arrays, chains, TABLE1_BUDGET, (name,), solve_seconds
             ),
             repeats=2,
         )
         batch_s, batch_arrays = _time(
             functools.partial(
-                batch_engine.solve_instances, chains, TABLE1_BUDGET, (name,)
+                serial_engine.solve_instances, chains, TABLE1_BUDGET, (name,)
             ),
             repeats=3,
         )
@@ -231,15 +226,14 @@ def main(argv: "list[str] | None" = None) -> int:
         }
         kernel_speedup[name] = round(python_s / batch_s, 2)
         kernel_mismatch |= not _arrays_match(python_arrays, batch_arrays)
-        quantile_engine.solve_instances(chains, TABLE1_BUDGET, (name,))
-        sketch = quantile_engine.obs.metrics.sketch(f"solve.seconds.{name}")
+        sketch = sketch_of(solve_seconds)
         kernel_latency_us[name] = {
             "p50": round(sketch.p50 * 1e6, 1),
             "p90": round(sketch.p90 * 1e6, 1),
             "p99": round(sketch.p99 * 1e6, 1),
         }
         print(
-            f"  kernel {name:12s} python {python_s:6.2f}s  "
+            f"  kernel {name:12s} scalar {python_s:6.2f}s  "
             f"batch {batch_s:6.2f}s  x{python_s / batch_s:.2f}  "
             f"(scalar p50 {kernel_latency_us[name]['p50']:.0f}us "
             f"p99 {kernel_latency_us[name]['p99']:.0f}us)"
@@ -248,10 +242,11 @@ def main(argv: "list[str] | None" = None) -> int:
 
     # Jobs-scaling scenario: the shared-memory process tier (zero-pickle
     # result planes + cost-adaptive chunking) vs serial, at several worker
-    # counts and on both kernels.  Speedups are same-run ratios; the gate
-    # only judges them when the candidate machine actually has the cores
-    # (tolerances carry ``requires_cores``), so a pinned single-core CI
-    # runner skips them explicitly instead of passing vacuously.
+    # counts.  Speedups are same-run ratios; the gate only judges them when
+    # the candidate machine actually has the cores (tolerances carry
+    # ``requires_cores``), so a pinned single-core CI runner skips them
+    # explicitly instead of passing vacuously.  The engine has one solve
+    # path, reported under the ``batch`` key the tolerances name.
     scaling_levels = [
         int(level)
         for level in args.scaling_jobs.split(",")
@@ -261,37 +256,23 @@ def main(argv: "list[str] | None" = None) -> int:
     scaling_mismatch = False
     if scaling_levels:
         jobs_scaling["jobs"] = scaling_levels
-        batch_serial_s, batch_serial_arrays = _time(
-            lambda: CampaignEngine(
-                jobs=1, backend="serial", memo=False, kernel="batch"
-            ).solve_instances(chains, TABLE1_BUDGET, PAPER_ORDER)
-        )
-        scaling_mismatch |= not _arrays_match(serial_arrays, batch_serial_arrays)
-        serial_walls = {"python": serial_s, "batch": batch_serial_s}
-        for kernel in ("python", "batch"):
-            tier: "dict[str, object]" = {
-                "serial_wall_s": round(serial_walls[kernel], 3)
+        tier: "dict[str, object]" = {"serial_wall_s": round(serial_s, 3)}
+        for level in scaling_levels:
+            engine = CampaignEngine(jobs=level, backend="process", memo=False)
+            wall_s, arrays = _time(
+                functools.partial(
+                    engine.solve_instances, chains, TABLE1_BUDGET, PAPER_ORDER
+                )
+            )
+            scaling_mismatch |= not _arrays_match(serial_arrays, arrays)
+            tier[f"jobs{level}"] = {
+                "wall_s": round(wall_s, 3),
+                "speedup": round(serial_s / wall_s, 2),
             }
-            for level in scaling_levels:
-                engine = CampaignEngine(
-                    jobs=level, backend="process", memo=False, kernel=kernel
-                )
-                wall_s, arrays = _time(
-                    functools.partial(
-                        engine.solve_instances,
-                        chains, TABLE1_BUDGET, PAPER_ORDER,
-                    )
-                )
-                scaling_mismatch |= not _arrays_match(serial_arrays, arrays)
-                tier[f"jobs{level}"] = {
-                    "wall_s": round(wall_s, 3),
-                    "speedup": round(serial_walls[kernel] / wall_s, 2),
-                }
-                print(
-                    f"  scaling {kernel:6s} j={level:2d} {wall_s:8.2f}s  "
-                    f"x{serial_walls[kernel] / wall_s:.2f}"
-                )
-            jobs_scaling[kernel] = tier
+            print(
+                f"  scaling j={level:2d} {wall_s:8.2f}s  x{serial_s / wall_s:.2f}"
+            )
+        jobs_scaling["batch"] = tier
         jobs_scaling["mismatch"] = scaling_mismatch
         mismatch |= scaling_mismatch
 

@@ -304,9 +304,7 @@ def seeded_slowdown(report: dict[str, Any], factor: float = 2.0) -> dict[str, An
         ):
             kernel.setdefault("speedup", {})[name] = python_s / batch_s
 
-    scaling = seeded.get("jobs_scaling", {})
-    for kernel in ("python", "batch"):
-        tier = scaling.get(kernel)
+    for tier in seeded.get("jobs_scaling", {}).values():
         if not isinstance(tier, dict):
             continue
         serial_s = tier.get("serial_wall_s")

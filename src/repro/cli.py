@@ -31,12 +31,13 @@ import sys
 from pathlib import Path
 
 from .bench import compare_files, render_results
+from .core.binary_search import ScheduleOutcome
 from .core.certify import certify_outcome
 from .core.chain_stats import ChainProfile
 from .core.errors import InvalidParameterError, SchedulingError
-from .core.registry import get_info, solve_batch
+from .core.registry import StrategyInfo, get_info, solve_batch
 from .core.types import Resources, type_name
-from .engine import KERNELS, CampaignEngine, CheckpointJournal, ResilienceConfig, RetryPolicy, default_engine
+from .engine import CampaignEngine, CheckpointJournal, ResilienceConfig, RetryPolicy, default_engine
 from .experiments import ablation, fig1, fig2, fig3, fig4, fig5, fig6, table1, table2, table3
 from .lint.cli import add_lint_arguments, run_lint
 from .obs import (
@@ -179,8 +180,9 @@ def _experiment_options() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help=(
-            "worker processes for the campaign engine (default: all cores, "
-            "i.e. os.cpu_count()); results are identical for any value"
+            "worker processes for the campaign engine (default: every core "
+            "this process may run on, i.e. its CPU affinity mask); results "
+            "are identical for any value"
         ),
     )
     parent.add_argument(
@@ -190,18 +192,6 @@ def _experiment_options() -> argparse.ArgumentParser:
             "audit every solution with the independent certificate checker "
             "(repro.core.certify) while the campaign runs; fails loudly on "
             "the first violation (disables memo-cache replay)"
-        ),
-    )
-    parent.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="python",
-        help=(
-            "solver tier: 'python' runs each (chain, strategy) cell through "
-            "the scalar solvers; 'batch' groups work units by strategy and "
-            "solves them through the vectorized numpy kernels "
-            "(repro.core.kernels) — bitwise-identical results, several "
-            "times the campaign throughput for herad/2catac"
         ),
     )
     parent.add_argument(
@@ -375,17 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "audit every solution with the independent certificate checker; "
             "exits non-zero on the first violation"
-        ),
-    )
-    solve_parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="python",
-        help=(
-            "solver tier: 'batch' schedules the whole chain batch per "
-            "strategy through the vectorized numpy kernels (bitwise-"
-            "identical outcomes; falls back to the python solvers where a "
-            "kernel does not apply, e.g. k>2 platforms)"
         ),
     )
     solve_parser.add_argument(
@@ -579,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_engine(
     args: argparse.Namespace, obs: "Observability | None" = None
 ) -> "CampaignEngine | None":
-    """A dedicated engine when a hardening, observability, or kernel flag is set.
+    """A dedicated engine when a hardening, observability, or planner flag is set.
 
     ``None`` means "use the process-wide default engine" (the lean fail-fast
     path).  The dedicated engine shares the default engine's memo cache, so
@@ -590,12 +569,7 @@ def _build_engine(
         or args.retries is not None
         or args.timeout is not None
     )
-    if (
-        not hardened
-        and obs is None
-        and args.kernel == "python"
-        and args.unit_wall is None
-    ):
+    if not hardened and obs is None and args.unit_wall is None:
         return None
     resilience: "ResilienceConfig | None" = None
     journal: "CheckpointJournal | None" = None
@@ -610,7 +584,6 @@ def _build_engine(
         resilience=resilience,
         journal=journal,
         obs=obs,
-        kernel=args.kernel,
         unit_wall=args.unit_wall,
     )
 
@@ -689,6 +662,28 @@ def _run_one(
     raise ValueError(f"unknown experiment {name!r}")
 
 
+def _solve_strategy(
+    profiles: "list[ChainProfile]", resources: Resources, info: StrategyInfo
+) -> "list[ScheduleOutcome | SchedulingError]":
+    """Solve one strategy over the whole batch through ``solve_batch``.
+
+    When the batch raises, the strategy is re-run chain by chain so each
+    failing chain carries its own error: ``repro solve`` reports the first
+    failing ``(chain, strategy)`` cell with its chain context.
+    """
+    try:
+        return list(solve_batch(profiles, resources, info.name))
+    except SchedulingError:
+        pass
+    outcomes: "list[ScheduleOutcome | SchedulingError]" = []
+    for profile in profiles:
+        try:
+            outcomes.append(info.func(profile, resources))
+        except SchedulingError as error:
+            outcomes.append(error)
+    return outcomes
+
+
 def run_solve(args: argparse.Namespace) -> int:
     """``repro solve``: schedule synthetic chains on a --cores platform."""
     resources, labels = args.cores
@@ -709,27 +704,19 @@ def run_solve(args: argparse.Namespace) -> int:
     )
     print(f"platform: {budget}  (k={resources.ktype})")
     profiles = [ChainProfile(chain) for chain in chains]
-    solved: "dict[str, list] | None" = None
-    if args.kernel == "batch":
-        # One vectorized call per strategy over the whole batch; outcomes
-        # are bitwise identical to the per-chain loop below.
-        try:
-            solved = {
-                name: solve_batch(profiles, resources, name)
-                for name, _ in infos
-            }
-        except SchedulingError as error:
-            _log.error("%s", error)
-            return 2
+    # One solve_batch call per strategy over the whole batch; outcomes are
+    # bitwise identical to calling each strategy chain by chain.
+    solved = {
+        name: _solve_strategy(profiles, resources, info)
+        for name, info in infos
+    }
     for row, chain in enumerate(chains):
         profile = profiles[row]
         for name, info in infos:
+            outcome = solved[name][row]
             try:
-                outcome = (
-                    solved[name][row]
-                    if solved is not None
-                    else info.func(profile, resources)
-                )
+                if isinstance(outcome, SchedulingError):
+                    raise outcome
                 if args.certify:
                     certify_outcome(
                         outcome,

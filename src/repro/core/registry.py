@@ -36,6 +36,7 @@ __all__ = [
     "strategy_names",
     "run_strategies",
     "solve_batch",
+    "batch_span",
 ]
 
 StrategyFn = Callable[["TaskChain | ChainProfile", Resources], ScheduleOutcome]
@@ -51,6 +52,13 @@ BatchStrategyFn = Callable[
 #: numpy dispatch further but grow the DP working set past cache; ~50 is the
 #: empirical sweet spot for the paper-scale scenario (20 tasks, (10B,10L)).
 _BATCH_SPAN: int = 50
+#
+# Batches of one instance deliberately take the kernel too.  A 2CATAC
+# batch-of-1 runs at 0.10-0.91x scalar speed on budgets up to (4B,4L) but
+# at 0.2-6x from (5B,5L) up (2 vCPUs, 10-30 tasks), and routing it to the
+# scalar function would make the ``packing.compute_stage_calls`` counter
+# depend on how the engine happened to cut its units, breaking the
+# cross-tier counter parity of DESIGN.md §15.
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,12 +272,12 @@ def solve_batch(
 ) -> list[ScheduleOutcome]:
     """Solve a whole batch of chains with one strategy at one budget.
 
-    The vectorized entry point of the ``--kernel batch`` tier: strategies
-    with a ``batch_func`` solve the batch in :data:`_BATCH_SPAN`-sized
-    sub-batches through their numpy kernel; everything else maps the scalar
-    python implementation over the batch.  Outcomes are returned in batch
-    order and are **bitwise identical** to ``[func(c, resources) for c in
-    chains]`` — the pure-python solvers remain the differential oracle.
+    The campaign engine's one solve path: strategies with a ``batch_func``
+    solve the batch in :data:`_BATCH_SPAN`-sized sub-batches through their
+    numpy kernel; everything else maps the scalar python implementation
+    over the batch.  Outcomes are returned in batch order and are **bitwise
+    identical** to ``[func(c, resources) for c in chains]`` — the
+    pure-python solvers remain the differential oracle.
 
     Fallback rules (DESIGN.md §12): when a kernel rejects a sub-batch with
     :class:`~repro.core.errors.InvalidPlatformError` — a ``k != 2`` budget,
@@ -293,6 +301,14 @@ def solve_batch(
         except InvalidPlatformError:
             outcomes.extend(info.func(profile, resources) for profile in sub)
     return outcomes
+
+
+def batch_span(strategy: str) -> int:
+    """Cells :func:`solve_batch` hands ``strategy``'s kernel per call (1: none).
+
+    Cutting a batch only between whole spans keeps every kernel call full.
+    """
+    return 1 if get_info(strategy).batch_func is None else _BATCH_SPAN
 
 
 __all__.append("get_info")

@@ -36,7 +36,6 @@ from .batch import (
     PendingInstance,
     UnitOutcome,
     WorkUnit,
-    chunk_pending,
     solve_instance,
     solve_unit,
     units_from_groups,
@@ -44,7 +43,6 @@ from .batch import (
 from .checkpoint import CheckpointJournal, load_journal
 from .executor import (
     BACKENDS,
-    KERNELS,
     CampaignEngine,
     StrategyArrays,
     default_engine,
@@ -72,7 +70,6 @@ from .shm import PlaneDescriptor, ResultPlanes
 
 __all__ = [
     "BACKENDS",
-    "KERNELS",
     "CampaignEngine",
     "StrategyArrays",
     "default_engine",
@@ -81,7 +78,6 @@ __all__ = [
     "PendingInstance",
     "UnitOutcome",
     "WorkUnit",
-    "chunk_pending",
     "solve_instance",
     "solve_unit",
     "units_from_groups",

@@ -16,15 +16,16 @@ are bitwise identical.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.binary_search import ScheduleOutcome
 from ..core.certify import certify_outcome
 from ..core.chain_stats import ChainProfile
-from ..core.errors import InvalidParameterError
 from ..core.registry import get_info, solve_batch
 from ..core.task import TaskChain
 from ..core.types import Resources
@@ -35,6 +36,9 @@ from .faults import FaultPlan
 from .memo import InstanceResult, MemoKey, make_key
 from .shm import PlaneDescriptor
 
+if TYPE_CHECKING:
+    from multiprocessing.sharedctypes import Synchronized
+
 __all__ = [
     "PendingInstance",
     "WorkUnit",
@@ -42,8 +46,8 @@ __all__ = [
     "UnitOutcome",
     "solve_instance",
     "solve_unit",
-    "chunk_pending",
     "units_from_groups",
+    "SpreadProcessPool",
 ]
 
 
@@ -81,12 +85,6 @@ class WorkUnit:
             records into it, and ships the resulting payload home in its
             :class:`UnitOutcome` — the only channel observability data has
             out of a worker process.
-        kernel: solver tier for this chunk — ``"python"`` runs each cell
-            through the scalar strategy functions, ``"batch"`` groups the
-            chunk by strategy and solves each group in one vectorized
-            :func:`repro.core.registry.solve_batch` call (bitwise-identical
-            results; instances targeted by an armed fault plan are routed
-            to the python path per instance, since faults trigger per cell).
         worker_memo: consult the process-local worker memo shard
             (:data:`_WORKER_MEMO`) before solving each cell.  Only honored
             on the process tier (worker processes die with their pool, so
@@ -114,7 +112,6 @@ class WorkUnit:
     faults: "FaultPlan | None" = None
     tier: str = "serial"
     obs: "ObsConfig | None" = None
-    kernel: str = "python"
     worker_memo: bool = False
     dispatched_at: "float | None" = None
     planes: "PlaneDescriptor | None" = None
@@ -158,11 +155,14 @@ def solve_instance(
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
 ) -> dict[str, InstanceResult]:
-    """Run the given strategies on one profiled chain.
+    """Run the given strategies on one profiled chain, cell by cell.
 
-    The single authoritative "solve one campaign cell" routine — the serial
-    path, the thread tier, and the process workers all funnel through it, so
-    an instance's result cannot depend on where it was computed.
+    The per-cell path: fault-targeted instances of a unit
+    (:func:`_solve_rows_routed`) and the resilience ladder's serial
+    quarantine rung solve through it; every other cell goes through
+    :func:`repro.core.registry.solve_batch`, which is bitwise identical to
+    the scalar strategy functions called here, so an instance's result
+    cannot depend on which path computed it.
 
     With ``certify=True`` each outcome is audited by the independent
     certificate checker before the result row is recorded (raising
@@ -271,7 +271,7 @@ def _shard_usable(unit: WorkUnit) -> bool:
 
 
 def _replay_shard_hit(name: str, cached: InstanceResult) -> None:
-    """Re-emit the deterministic ``solve.*`` observations for a shard hit.
+    """Answer one cell from the worker memo shard, replaying its observations.
 
     A shard hit elides an actual solve, but the cross-tier counter-parity
     guarantee (DESIGN.md §15) says ``solve.count`` and the
@@ -279,109 +279,76 @@ def _replay_shard_hit(name: str, cached: InstanceResult) -> None:
     campaign, never on where or whether each cell was recomputed.  Cached
     values are a pure function of the key, so replaying them here makes the
     merged counters bitwise-independent of how units landed on workers —
-    which is what lets the shard default on.  ``solve.seconds`` is wall
-    clock (inherently run-dependent) and is deliberately not replayed.
+    which is what lets the shard default on.  ``solve_batch.seconds`` is
+    wall clock (inherently run-dependent) and is deliberately not replayed;
+    the hit itself is attributed under ``worker.<pid>.memo.hits``.
     """
     metrics = current().metrics
     if metrics.enabled:
         metrics.add("solve.count")
         metrics.observe(f"solve.period.{name}", cached.period)
-
-
-def _solve_with_shard(
-    unit: WorkUnit, item: PendingInstance, profile: ChainProfile
-) -> dict[str, InstanceResult]:
-    """Solve one instance through the worker memo shard."""
-    results: dict[str, InstanceResult] = {}
-    todo: list[str] = []
-    metrics = current().metrics
-    prefix = f"worker.{os.getpid()}.memo"
-    for name in item.strategies:
-        cached = _WORKER_MEMO.get(make_key(item.chain, unit.resources, name))
-        if cached is None:
-            todo.append(name)
-        else:
-            results[name] = cached
-            _replay_shard_hit(name, cached)
-            if metrics.enabled:
-                metrics.add(f"{prefix}.hits")
-    if todo:
-        fresh = solve_instance(
-            profile,
-            unit.resources,
-            tuple(todo),
-            certify=unit.certify,
-            faults=unit.faults,
-            tier=unit.tier,
-        )
-        for name, result in fresh.items():
-            _WORKER_MEMO[make_key(item.chain, unit.resources, name)] = result
-            if metrics.enabled:
-                metrics.add(f"{prefix}.misses")
-        results.update(fresh)
-    return results
+        metrics.add(f"worker.{os.getpid()}.memo.hits")
 
 
 def _solve_rows(unit: WorkUnit) -> UnitResult:
-    """Resolve a unit's instances into index-keyed rows."""
-    use_shard = _shard_usable(unit)
-    rows: UnitResult = []
-    for item in unit.pending:
-        profile = ChainProfile(item.chain)
-        if use_shard:
-            rows.append((item.index, _solve_with_shard(unit, item, profile)))
-            continue
-        rows.append(
-            (
-                item.index,
-                solve_instance(
-                    profile,
-                    unit.resources,
-                    item.strategies,
-                    certify=unit.certify,
-                    faults=unit.faults,
-                    tier=unit.tier,
-                ),
-            )
+    """Resolve a unit cell by cell through :func:`solve_instance`.
+
+    The per-cell path armed fault plans fire on (see
+    :func:`_solve_rows_routed`); everything else batches.
+    """
+    return [
+        (
+            item.index,
+            solve_instance(
+                ChainProfile(item.chain),
+                unit.resources,
+                item.strategies,
+                certify=unit.certify,
+                faults=unit.faults,
+                tier=unit.tier,
+            ),
         )
-    return rows
+        for item in unit.pending
+    ]
 
 
 def _solve_rows_batch(unit: WorkUnit) -> UnitResult:
-    """Resolve a unit through the vectorized batch kernels.
+    """Resolve a unit through :func:`repro.core.registry.solve_batch`.
 
     The unit's instances are grouped by strategy (first-appearance order,
     so the obs span sequence is deterministic) and each group goes through
-    one :func:`repro.core.registry.solve_batch` call — which guarantees
-    bitwise-identical outcomes to the scalar path, including the python
-    fallback for instances the kernels reject.  Certification audits every
-    batch-produced solution with the same independent checker as the scalar
-    path; the memoized result rows are constructed identically, so engine
-    assembly cannot tell the tiers apart.
+    one ``solve_batch`` call — which guarantees bitwise-identical outcomes
+    to the scalar strategy functions, including the per-instance fallback
+    for instances the vectorized kernels reject.  Certification audits
+    every solution with the independent checker as it is produced.
 
-    The worker memo shard composes with batching: shard-hit cells are
-    answered (with their deterministic counter replay) before grouping, so
-    each ``solve_batch`` call sees only genuinely unsolved cells, and fresh
-    group results feed the shard for later units on the same worker.
+    The worker memo shard composes with batching: cells already in the
+    shard are answered (with their deterministic counter replay) before
+    grouping, and a ``(fingerprint, budget, strategy)`` key repeated
+    *within* the unit joins its group once — the repeats are fanned out
+    from the shard after the groups ran.  Each ``solve_batch`` call thus
+    sees only distinct, genuinely unsolved cells, and fresh group results
+    feed the shard for later units on the same worker.
     """
     profiles = [ChainProfile(item.chain) for item in unit.pending]
     use_shard = _shard_usable(unit)
-    shard_metrics = current().metrics
-    prefix = f"worker.{os.getpid()}.memo"
     by_strategy: dict[str, list[int]] = {}
     results: list[dict[str, InstanceResult]] = [{} for _ in unit.pending]
+    claimed: set[MemoKey] = set()
+    repeats: list[tuple[int, str, MemoKey]] = []
     for position, item in enumerate(unit.pending):
         for name in item.strategies:
             if use_shard:
-                cached = _WORKER_MEMO.get(
-                    make_key(item.chain, unit.resources, name)
-                )
+                key = make_key(item.chain, unit.resources, name)
+                cached = _WORKER_MEMO.get(key)
                 if cached is not None:
                     results[position][name] = cached
                     _replay_shard_hit(name, cached)
-                    if shard_metrics.enabled:
-                        shard_metrics.add(f"{prefix}.hits")
                     continue
+                if key in claimed:
+                    repeats.append((position, name, key))
+                    continue
+                claimed.add(key)
             by_strategy.setdefault(name, []).append(position)
 
     obs = current()
@@ -402,6 +369,11 @@ def _solve_rows_batch(unit: WorkUnit) -> UnitResult:
                 obs.metrics.add("solve.count", len(members))
         else:
             _solve_group(unit, name, members, profiles, results, use_shard)
+
+    for position, name, key in repeats:
+        cached = _WORKER_MEMO[key]
+        results[position][name] = cached
+        _replay_shard_hit(name, cached)
 
     return [
         (item.index, results[position])
@@ -434,8 +406,8 @@ def _solve_group(
             )
         result = _result_of(outcome, unit.resources)
         if obs.metrics.enabled:
-            # Same deterministic period stream as the scalar path, so the
-            # sketch is kernel-invariant as well as tier-invariant.
+            # Same deterministic period stream as the per-cell path, so the
+            # sketch is invariant across tiers and fault routing.
             obs.metrics.observe(f"solve.period.{name}", result.period)
         if use_shard:
             key = make_key(unit.pending[position].chain, unit.resources, name)
@@ -446,33 +418,33 @@ def _solve_group(
 
 
 def _solve_rows_routed(unit: WorkUnit) -> UnitResult:
-    """Batch-kernel unit with an armed fault plan: route per instance.
+    """Unit with an armed fault plan: route per instance.
 
     Every instance the plan *could* target (non-consuming
     :meth:`~repro.engine.faults.FaultPlan.targets` check) goes through the
-    scalar per-cell path — the only place faults get their ``fire()``
-    consultation — while the rest of the unit keeps the vectorized batch
-    kernels.  Routing all-or-nothing here used to silently bypass injection
-    whenever a batched unit mixed targeted and untargeted instances; the
-    split keeps injection unconditional without giving up batching.
+    per-cell path — the only place faults get their ``fire()``
+    consultation — while the rest of the unit keeps the batched path
+    (without the worker memo shard, which never runs under a fault plan).
+    Routing all-or-nothing here used to silently bypass injection whenever
+    a batched unit mixed targeted and untargeted instances; the split keeps
+    injection unconditional without giving up batching.
     """
     assert unit.faults is not None
-    targeted = tuple(
-        item
-        for item in unit.pending
-        if unit.faults.targets(item.chain.fingerprint, item.strategies)
-    )
-    untargeted = tuple(
-        item
-        for item in unit.pending
-        if not unit.faults.targets(item.chain.fingerprint, item.strategies)
-    )
+    targeted: list[PendingInstance] = []
+    untargeted: list[PendingInstance] = []
+    for item in unit.pending:
+        hit = unit.faults.targets(item.chain.fingerprint, item.strategies)
+        (targeted if hit else untargeted).append(item)
     rows: UnitResult = []
     if targeted:
-        rows.extend(_solve_rows(replace(unit, pending=targeted)))
+        rows.extend(_solve_rows(replace(unit, pending=tuple(targeted))))
     if untargeted:
         rows.extend(
-            _solve_rows_batch(replace(unit, pending=untargeted, faults=None))
+            _solve_rows_batch(
+                replace(
+                    unit, pending=tuple(untargeted), faults=None, worker_memo=False
+                )
+            )
         )
     return rows
 
@@ -541,12 +513,11 @@ def _attribute_worker_costs(
 def solve_unit(unit: WorkUnit) -> UnitOutcome:
     """Resolve one work unit (the process-pool entry point).
 
-    Profiles each chain once, then runs every requested strategy on it —
-    cell by cell on the python kernel, strategy-grouped through
-    :func:`repro.core.registry.solve_batch` on the batch kernel.  An armed
-    fault plan routes *fault-targeted* instances to the scalar per-cell
-    path unconditionally (faults trigger per cell); the remaining instances
-    of the same unit still go through the batch kernels.  With
+    Profiles each chain once, then solves the unit strategy-grouped
+    through :func:`repro.core.registry.solve_batch`.  An armed fault plan
+    routes *fault-targeted* instances to the per-cell path unconditionally
+    (faults trigger per cell); the remaining instances of the same unit
+    still go through ``solve_batch``.  With
     observability enabled on the unit, a fresh local context is built
     and activated for the duration — worker processes have no access to the
     engine's tracer, and thread-tier workers deliberately use the same
@@ -562,12 +533,7 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
     wall rides along as planner feedback either way.
     """
     arrived = monotonic()
-    if unit.kernel != "batch":
-        solver = _solve_rows
-    elif unit.faults is None:
-        solver = _solve_rows_batch
-    else:
-        solver = _solve_rows_routed
+    solver = _solve_rows_batch if unit.faults is None else _solve_rows_routed
     if unit.obs is None or not unit.obs.enabled:
         rows = solver(unit)
         solved_at = monotonic()
@@ -602,7 +568,6 @@ def units_from_groups(
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
     obs: "ObsConfig | None" = None,
-    kernel: str = "python",
     worker_memo: bool = False,
     planes: "PlaneDescriptor | None" = None,
 ) -> list[WorkUnit]:
@@ -627,7 +592,6 @@ def units_from_groups(
             faults=faults,
             tier=tier,
             obs=obs,
-            kernel=kernel,
             worker_memo=worker_memo,
             dispatched_at=dispatched_at,
             planes=planes,
@@ -637,39 +601,33 @@ def units_from_groups(
     ]
 
 
-def chunk_pending(
-    pending: Sequence[PendingInstance],
-    resources: Resources,
-    chunk_size: int,
-    certify: bool = False,
-    faults: "FaultPlan | None" = None,
-    tier: str = "serial",
-    obs: "ObsConfig | None" = None,
-    kernel: str = "python",
-    worker_memo: bool = False,
-    planes: "PlaneDescriptor | None" = None,
-) -> list[WorkUnit]:
-    """Split pending instances into work units of at most ``chunk_size``.
+class SpreadProcessPool(ProcessPoolExecutor):
+    """The engine's process pool: workers start spread over usable cores.
 
-    The fixed-row convenience chunker (tests and explicit ``chunk_size``
-    overrides); the engine's default path plans cost-adaptive groups via
-    :func:`repro.engine.plan.plan_units` and materializes them with
-    :func:`units_from_groups`.
+    Forked workers start on the parent's core, and some schedulers leave
+    them there for a whole sub-second campaign (on a 2-vCPU VM, both
+    workers shared one vCPU in 3 of 6 sampled 40-chain calls).  So each
+    worker moves once to its own core, then restores its full mask.
     """
-    if chunk_size < 1:
-        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    groups = [
-        tuple(pending[i : i + chunk_size])
-        for i in range(0, len(pending), chunk_size)
-    ]
-    return units_from_groups(
-        groups,
-        resources,
-        certify=certify,
-        faults=faults,
-        tier=tier,
-        obs=obs,
-        kernel=kernel,
-        worker_memo=worker_memo,
-        planes=planes,
-    )
+
+    def __init__(self, max_workers: int) -> None:
+        super().__init__(
+            max_workers=max_workers,
+            initializer=_spread_worker,
+            initargs=(multiprocessing.Value("i", 0),),
+        )
+
+
+def _spread_worker(slots: "Synchronized[int]") -> None:
+    """Pool initializer: move this worker to the next usable core, once."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with slots.get_lock():
+        slot = slots.value
+        slots.value += 1
+    usable = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {usable[slot % len(usable)]})
+        os.sched_setaffinity(0, usable)
+    except OSError:
+        pass  # placement is best effort; the scheduler still runs the worker

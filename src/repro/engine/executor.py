@@ -41,7 +41,7 @@ Two optional layers harden long campaigns (DESIGN.md §9):
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -50,13 +50,14 @@ import numpy as np
 
 from ..core.chain_stats import ChainProfile, profile_of
 from ..core.errors import InvalidParameterError
-from ..core.registry import get_info
+from ..core.registry import batch_span, get_info
 from ..core.task import TaskChain
 from ..core.types import Resources
 from ..obs.clock import monotonic
 from ..obs.context import NULL_OBSERVABILITY, Observability, ObsConfig, activate
 from .batch import (
     PendingInstance,
+    SpreadProcessPool,
     UnitOutcome,
     WorkUnit,
     solve_unit,
@@ -76,7 +77,6 @@ from .shm import ResultPlanes
 
 __all__ = [
     "BACKENDS",
-    "KERNELS",
     "resolve_jobs",
     "StrategyArrays",
     "CampaignEngine",
@@ -87,17 +87,17 @@ __all__ = [
 #: Recognized backend names (``auto`` picks serial for 1 job, else process).
 BACKENDS: tuple[str, ...] = ("auto", "serial", "thread", "process")
 
-#: Recognized solver kernels: ``python`` solves cell by cell through the
-#: scalar strategy functions; ``batch`` groups each work unit by strategy
-#: and solves the groups through the vectorized kernels
-#: (:mod:`repro.core.kernels`) — bitwise-identical results, amortized
-#: dispatch.
-KERNELS: tuple[str, ...] = ("python", "batch")
-
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``--jobs`` value: ``None`` means all available cores."""
+    """Normalize a ``--jobs`` value: ``None`` means all usable cores.
+
+    Usable means the scheduler affinity mask (``os.sched_getaffinity``),
+    which is smaller than ``os.cpu_count()`` under container CPU limits or
+    ``taskset``; platforms without it fall back to ``os.cpu_count()``.
+    """
     if jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
@@ -122,21 +122,21 @@ def _pool_factory(backend: str, jobs: int) -> "type[Executor] | None":
         return None
     if backend == "thread":
         return ThreadPoolExecutor
-    return ProcessPoolExecutor  # "process" and "auto" with jobs > 1
+    return SpreadProcessPool  # "process" and "auto" with jobs > 1
 
 
 class CampaignEngine:
     """Executes campaigns of scheduling instances with fan-out + memoization.
 
     Args:
-        jobs: default worker count (``None``: ``os.cpu_count()``).  Overridable
-            per call.
+        jobs: default worker count (``None``: every usable core, see
+            :func:`resolve_jobs`).  Overridable per call.
         backend: one of :data:`BACKENDS`.
         memo: a shared :class:`MemoCache`, ``True`` for a private cache, or
             ``False``/``None`` to disable memoization.
-        chunk_size: instances per work unit; default splits the pending work
-            into ~4 units per worker, balancing dispatch overhead against
-            load imbalance.
+        chunk_size: instances per work unit, overriding the cost-adaptive
+            planner (:func:`~repro.engine.plan.plan_units`), which otherwise
+            sizes units by ``unit_wall``.
         resilience: a :class:`~repro.engine.resilience.ResilienceConfig`
             (or ``True`` for the defaults) enabling retries, soft deadlines,
             backend degradation, and quarantine.  ``None``/``False`` keeps
@@ -156,12 +156,6 @@ class CampaignEngine:
             zero-overhead no-op implementation.  Spans and counters are
             recorded *about* the campaign, never consulted by it — results
             are bitwise identical with observability on or off (tested).
-        kernel: one of :data:`KERNELS` — the solver tier work units run on.
-            ``"batch"`` routes each unit through the vectorized kernels of
-            :mod:`repro.core.kernels` (grouped by strategy, python fallback
-            per instance where a kernel does not apply); results are
-            bitwise identical to the default ``"python"`` tier (tested),
-            only the throughput changes.
         worker_memo: arm the process-local worker memo shard
             (:data:`repro.engine.batch._WORKER_MEMO`): process-tier workers
             skip cells whose ``(fingerprint, budget, strategy)`` key they
@@ -194,7 +188,6 @@ class CampaignEngine:
         journal: "CheckpointJournal | str | Path | None" = None,
         faults: "FaultPlan | None" = None,
         obs: "Observability | ObsConfig | bool | None" = None,
-        kernel: str = "python",
         worker_memo: bool = True,
         shared_results: bool = True,
         unit_wall: "float | None" = None,
@@ -202,10 +195,6 @@ class CampaignEngine:
         if backend not in BACKENDS:
             raise InvalidParameterError(
                 f"unknown backend {backend!r}; available: {BACKENDS}"
-            )
-        if kernel not in KERNELS:
-            raise InvalidParameterError(
-                f"unknown kernel {kernel!r}; available: {KERNELS}"
             )
         if chunk_size is not None and chunk_size < 1:
             raise InvalidParameterError(
@@ -218,7 +207,6 @@ class CampaignEngine:
         self.jobs = resolve_jobs(jobs)
         self.backend = backend
         self.chunk_size = chunk_size
-        self.kernel = kernel
         self.worker_memo = worker_memo
         self.shared_results = shared_results
         self.unit_wall = unit_wall if unit_wall is not None else DEFAULT_UNIT_WALL_S
@@ -342,15 +330,6 @@ class CampaignEngine:
                     self._destroy_planes()
                     if self.journal is not None:
                         self.journal.commit()
-            if self.obs.metrics.enabled:
-                # Cross-campaign planner feedback: the p50 of each
-                # strategy's solve-latency sketch (tier-merged, DESIGN.md
-                # §15) refines the cost model for the *next* plan.  Purely
-                # advisory — results never depend on it.
-                for name in names:
-                    sketch = self.obs.metrics.sketch(f"solve.seconds.{name}")
-                    if sketch is not None and sketch.count:
-                        self._cost_model.feed_sketch(name, sketch.p50)
         return arrays
 
     @property
@@ -453,6 +432,11 @@ class CampaignEngine:
         immediately (fail-fast), though the pool is still shut down with
         ``cancel_futures`` so a Ctrl-C never leaks workers.
         """
+        names: dict[str, None] = {}
+        for item in pending:
+            # Cache fingerprints before a pool's feeder thread pickles chains.
+            item.chain.fingerprint
+            names.update(dict.fromkeys(item.strategies))
         pool_cls = _pool_factory(self.backend, jobs)
         tier = (
             "serial"
@@ -470,25 +454,20 @@ class CampaignEngine:
                 cost_snapshot=self._cost_model.snapshot(),
                 unit_wall=self.unit_wall,
                 chunk_size=self.chunk_size,
-                kernel=self.kernel,
+                spans={name: batch_span(name) for name in names},
             )
 
         planes: "ResultPlanes | None" = None
         if tier == "process" and self.shared_results:
-            names = tuple(
-                dict.fromkeys(
-                    name for item in pending for name in item.strategies
-                )
-            )
             planes = ResultPlanes.allocate(
-                names, 1 + max(item.index for item in pending), resources.ktype
+                tuple(names), 1 + max(item.index for item in pending), resources.ktype
             )
         self._active_planes = planes
         try:
             units = units_from_groups(
                 groups, resources, certify=certify,
                 faults=self.faults, tier=tier, obs=obs_config,
-                kernel=self.kernel, worker_memo=self.worker_memo,
+                worker_memo=self.worker_memo,
                 planes=planes.descriptor if planes is not None else None,
             )
 
@@ -615,7 +594,7 @@ _DEFAULT_ENGINE: CampaignEngine | None = None
 
 
 def default_engine() -> CampaignEngine:
-    """The process-wide engine (shared memo cache, all-cores default)."""
+    """The process-wide engine (shared memo cache, all-usable-cores default)."""
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = CampaignEngine()

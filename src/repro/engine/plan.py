@@ -12,29 +12,28 @@ campaign.
 Two properties are load-bearing:
 
 * **Determinism** — :func:`plan_units` is a pure function of the pending
-  instances, a frozen cost snapshot, the job count, and the kernel.  The
+  instances, a frozen cost snapshot, and the job count.  The
   engine snapshots its :class:`AdaptiveCostModel` once per campaign, so the
   plan is computed entirely up front; and because result rows are keyed by
   chain index and strategies are pure functions, the assembled arrays are
   bitwise identical for *any* plan — cost feedback can only change wall
   time, never results (``tests/engine/test_plan.py``,
   ``tests/engine/test_scaling.py``).
-* **Strategy grouping for the batch kernel** — with ``kernel="batch"`` the
-  planner first explodes instances into single-strategy cells and packs
-  units per strategy, so each worker's unit is one maximal
-  :func:`repro.core.registry.solve_batch` call.  This is what makes
-  ``--jobs N --kernel batch`` compose: the old fixed chunker handed workers
+* **Strategy grouping** — the planner first explodes instances into
+  single-strategy cells and splits each strategy's cells into units, so
+  each worker's unit is one :func:`repro.core.registry.solve_batch` call
+  made of whole kernel spans.  This is what makes ``--jobs N`` compose
+  with the vectorized kernels: the old fixed chunker handed workers
   strategy-mixed units that fragmented the vectorized groups.
 
-The model is fed from two directions: always-on per-unit wall measurements
+The model has one feedback signal: the always-on per-unit wall measurement
 (:attr:`repro.engine.batch.UnitOutcome.seconds`, read off the sanctioned
-:mod:`repro.obs.clock`), and — when engine metrics are enabled — the p50 of
-the ``solve.seconds.<strategy>`` quantile sketches, which survive across
-campaigns and tiers (DESIGN.md §15).
+:mod:`repro.obs.clock`), folded in by :meth:`AdaptiveCostModel.observe_unit`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from ..core.errors import InvalidParameterError
@@ -99,11 +98,6 @@ class AdaptiveCostModel:
             per_cell = (seconds * estimated[name] / total) / count
             self._fold(name, per_cell)
 
-    def feed_sketch(self, strategy: str, p50_seconds: float) -> None:
-        """Fold a ``solve.seconds.<strategy>`` sketch median in (PR 9 path)."""
-        if p50_seconds > 0.0:
-            self._fold(strategy, p50_seconds)
-
     def _fold(self, strategy: str, per_cell: float) -> None:
         previous = self._cost.get(strategy)
         if previous is None:
@@ -118,33 +112,16 @@ class AdaptiveCostModel:
         return tuple(sorted(self._cost.items()))
 
 
-def _instance_cost(
-    item: PendingInstance, costs: Mapping[str, float]
-) -> float:
-    return sum(
-        costs.get(name, _PRIOR_CELL_COST_S) for name in item.strategies
-    )
-
-
-def _pack(
-    items: Sequence[PendingInstance],
-    costs: Mapping[str, float],
-    target: float,
+def _split_even(
+    atoms: Sequence[tuple[PendingInstance, ...]], pieces: int
 ) -> list[tuple[PendingInstance, ...]]:
-    """Greedy in-order packing: cut a unit once it reaches ``target``."""
-    groups: list[tuple[PendingInstance, ...]] = []
-    unit: list[PendingInstance] = []
-    acc = 0.0
-    for item in items:
-        unit.append(item)
-        acc += _instance_cost(item, costs)
-        if acc >= target:
-            groups.append(tuple(unit))
-            unit = []
-            acc = 0.0
-    if unit:
-        groups.append(tuple(unit))
-    return groups
+    """Cut ``atoms`` into ``pieces`` contiguous units of near-equal length."""
+    pieces = max(1, min(pieces, len(atoms)))
+    bounds = [len(atoms) * k // pieces for k in range(pieces + 1)]
+    return [
+        tuple(cell for atom in atoms[lo:hi] for cell in atom)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def plan_units(
@@ -154,21 +131,28 @@ def plan_units(
     cost_snapshot: "tuple[tuple[str, float], ...]" = (),
     unit_wall: float = DEFAULT_UNIT_WALL_S,
     chunk_size: "int | None" = None,
-    kernel: str = "python",
+    spans: "Mapping[str, int] | None" = None,
 ) -> list[tuple[PendingInstance, ...]]:
     """Split pending instances into work-unit groups, deterministically.
 
     A pure function: the same ``(pending, jobs, cost_snapshot, unit_wall,
-    chunk_size, kernel)`` always yields the same plan, and every cell of
+    chunk_size, spans)`` always yields the same plan, and every cell of
     every instance appears in exactly one group.
 
     ``chunk_size`` is the explicit fixed-row override (the engine's
     long-standing knob, kept bitwise-compatible with the old chunker);
     otherwise units target ``unit_wall`` estimated seconds, clamped so a
     small campaign still fans out into ~:data:`_UNITS_PER_WORKER` units per
-    worker.  With ``kernel="batch"`` instances are first exploded into
-    single-strategy cells grouped by strategy (first-appearance order), so
-    each unit is one contiguous ``solve_batch`` shard.
+    worker.  Instances are first exploded into single-strategy cells
+    grouped by strategy (first-appearance order), so each unit is one
+    contiguous ``solve_batch`` shard, and each strategy's cells are split
+    evenly into as many units as its estimated cost needs.
+
+    ``spans`` maps a strategy to the number of cells its batch kernel
+    solves per call (:func:`repro.core.registry.batch_span`; absent means
+    1, a scalar strategy).  Units cut such a strategy only between whole
+    spans: a unit's kernel calls are then exactly the calls the serial
+    path makes, and no kernel call is split into smaller, slower ones.
     """
     if unit_wall <= 0.0:
         raise InvalidParameterError(
@@ -182,33 +166,40 @@ def plan_units(
     if not items:
         return []
 
-    if kernel == "batch" and chunk_size is None:
-        order: list[str] = []
-        cells_by_strategy: dict[str, list[PendingInstance]] = {}
-        for item in items:
-            for name in item.strategies:
-                if name not in cells_by_strategy:
-                    order.append(name)
-                    cells_by_strategy[name] = []
-                cells_by_strategy[name].append(
-                    PendingInstance(
-                        index=item.index, chain=item.chain, strategies=(name,)
-                    )
-                )
-        items = [cell for name in order for cell in cells_by_strategy[name]]
-
     if chunk_size is not None:
         return [
             tuple(items[i : i + chunk_size])
             for i in range(0, len(items), chunk_size)
         ]
 
+    cells_by_strategy: dict[str, list[PendingInstance]] = {}
+    for item in items:
+        for name in item.strategies:
+            cells_by_strategy.setdefault(name, []).append(
+                PendingInstance(
+                    index=item.index, chain=item.chain, strategies=(name,)
+                )
+            )
     costs = dict(cost_snapshot)
-    total = sum(_instance_cost(item, costs) for item in items)
+    spans = spans or {}
+    strategy_cost = {
+        name: costs.get(name, _PRIOR_CELL_COST_S) * len(cells)
+        for name, cells in cells_by_strategy.items()
+    }
     workers = max(1, jobs)
     # Clamp the target so small campaigns still spread across workers: at
     # least ~_UNITS_PER_WORKER units per worker unless units would go
-    # sub-instance (packing always keeps >= 1 instance per unit).
-    target = min(unit_wall, total / (workers * _UNITS_PER_WORKER))
-    target = max(target, 1e-9)
-    return _pack(items, costs, target)
+    # below one span (a unit always holds >= 1 cell).
+    total = sum(strategy_cost.values())
+    target = max(min(unit_wall, total / (workers * _UNITS_PER_WORKER)), 1e-9)
+    groups: list[tuple[PendingInstance, ...]] = []
+    for name, cells in cells_by_strategy.items():
+        span = max(1, spans.get(name, 1))
+        atoms = [
+            tuple(cells[start : start + span])
+            for start in range(0, len(cells), span)
+        ]
+        # The tolerance keeps float noise in the clamp from adding a unit.
+        pieces = math.ceil(strategy_cost[name] / target * (1.0 - 1e-9))
+        groups.extend(_split_even(atoms, pieces))
+    return groups

@@ -47,7 +47,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Executor,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FuturesTimeoutError,
     wait,
@@ -58,7 +57,14 @@ from typing import Generator, Iterator, Sequence
 from ..core.chain_stats import ChainProfile
 from ..core.errors import CertificationError, InvalidParameterError
 from ..obs.context import activate
-from .batch import UnitOutcome, UnitResult, WorkUnit, solve_instance, solve_unit
+from .batch import (
+    SpreadProcessPool,
+    UnitOutcome,
+    UnitResult,
+    WorkUnit,
+    solve_instance,
+    solve_unit,
+)
 from .faults import InjectedFault
 from .memo import InstanceResult
 from .shm import ResultPlanes
@@ -80,7 +86,7 @@ TIERS: tuple[str, ...] = ("process", "thread", "serial")
 
 #: Executor class per pooled tier (tests may patch in recording doubles).
 _POOL_CLASSES: dict[str, type[Executor]] = {
-    "process": ProcessPoolExecutor,
+    "process": SpreadProcessPool,
     "thread": ThreadPoolExecutor,
 }
 

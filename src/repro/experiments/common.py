@@ -105,8 +105,8 @@ def run_campaign(
             includes ``herad`` (needed as the optimal reference).
         seed: base seed of the chain stream.
         jobs: worker count for the instance fan-out (``None``: the engine's
-            default, itself ``os.cpu_count()``).  Any value yields the same
-            arrays bit for bit.
+            default: every core the process may run on, per its CPU
+            affinity mask).  Any value yields the same arrays bit for bit.
         engine: campaign engine override; defaults to the process-wide
             engine with its shared memo cache.
         certify: audit every solution with the independent certificate

@@ -52,7 +52,7 @@ def run(
         stateless_ratio: scenario SR (paper: 0.5).
         strategy: strategy compared against HeRAD (paper: FERTAC).
         seed: campaign seed.
-        jobs: campaign-engine worker count (None: all cores).
+        jobs: campaign-engine worker count (None: all usable cores).
         certify: audit every solution with the certificate checker.
         engine: campaign engine override — the CLI passes a resilient /
             journaled engine here for ``--resume``/``--retries``/``--timeout``.
@@ -79,14 +79,26 @@ def run(
         all_results=usage_heatmap(
             rec.big_used, rec.little_used, opt.big_used, opt.little_used
         ),
-        optimal_only=usage_heatmap(
-            rec.big_used,
-            rec.little_used,
-            opt.big_used,
-            opt.little_used,
-            mask=optimal_mask,
-            # The paper's Fig. 2b percentages keep all chains as denominator.
-            population=num_chains,
+        optimal_only=(
+            usage_heatmap(
+                rec.big_used,
+                rec.little_used,
+                opt.big_used,
+                opt.little_used,
+                mask=optimal_mask,
+                # The paper's Fig. 2b percentages keep all chains as
+                # denominator.
+                population=num_chains,
+            )
+            if optimal_mask.any()
+            # Small campaigns can leave Fig. 2b with no chain at all: an
+            # empty panel, rendered as such, not an error.
+            else UsageHeatmap(
+                delta_big=np.empty(0, dtype=np.int64),
+                delta_little=np.empty(0, dtype=np.int64),
+                percent=np.zeros((0, 0)),
+                num_chains=0,
+            )
         ),
         percent_optimal=float(np.mean(optimal_mask) * 100.0),
     )
@@ -108,7 +120,9 @@ def render(result: Fig2Result) -> str:
         "",
         "(b) Only chains where the strategy reached the optimal period"
         " (percentages of ALL chains, as in the paper):",
-        result.optimal_only.render(),
+        result.optimal_only.render()
+        if result.optimal_only.num_chains
+        else "  (empty: no chain reached the optimal period)",
         f"  at most 1 extra core: {result.optimal_only.share_within_extra_cores(1):.1f}% "
         "(paper: 21.2%)",
         f"  at most 2 extra cores: {result.optimal_only.share_within_extra_cores(2):.1f}% "

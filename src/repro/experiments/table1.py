@@ -60,7 +60,7 @@ def run(
         seed: base seed (each scenario uses the same chain weights stream,
             re-labelled for its SR, exactly like regenerating the paper's
             population).
-        jobs: campaign-engine worker count (None: all cores).
+        jobs: campaign-engine worker count (None: all usable cores).
         certify: audit every solution with the certificate checker.
         engine: campaign engine override — the CLI passes a resilient /
             journaled engine here for ``--resume``/``--retries``/``--timeout``.

@@ -24,17 +24,17 @@ from repro.core.errors import InvalidParameterError
 def _reports(affinity):
     baseline = {
         "machine": {"cpu_affinity": 8},
-        "jobs_scaling": {"python": {"jobs4": {"speedup": 3.4}}},
+        "jobs_scaling": {"batch": {"jobs4": {"speedup": 3.4}}},
     }
     candidate = {
         "machine": {"cpu_affinity": affinity},
-        "jobs_scaling": {"python": {"jobs4": {"speedup": 0.9}}},
+        "jobs_scaling": {"batch": {"jobs4": {"speedup": 0.9}}},
     }
     return baseline, candidate
 
 
 _SCALING = Check(
-    metric="jobs_scaling.python.jobs4.speedup",
+    metric="jobs_scaling.batch.jobs4.speedup",
     kind="higher_better",
     min_factor=0.5,
     requires_cores=4,
@@ -110,7 +110,7 @@ class TestToleranceParsing:
         checks = load_tolerances(shipped)
         gated = [c for c in checks if c.requires_cores is not None]
         assert any(
-            c.metric == "jobs_scaling.python.jobs4.speedup"
+            c.metric == "jobs_scaling.batch.jobs4.speedup"
             and c.requires_cores == 4
             for c in gated
         )

@@ -1,6 +1,6 @@
 """Differential tests for the batch-vectorized solver kernels.
 
-The ``--kernel batch`` tier promises **bitwise-identical** outcomes to the
+The batched solve path promises **bitwise-identical** outcomes to the
 pure-python solvers, which stay the differential oracle.  These tests pin
 that promise at three levels: the packing layer's invariants, each kernel
 against its scalar twin over mixed batches and degenerate budgets (the full
@@ -230,3 +230,4 @@ class TestSolveBatch:
         assert len(outcomes) == len(profiles)
         for profile, got in zip(profiles, outcomes):
             assert _signature(got) == _signature(solo_fn(profile, resources))
+

@@ -1,11 +1,11 @@
-"""Regression tests: fault injection must fire under ``--kernel batch``.
+"""Regression tests: fault injection must fire on the batched solve path.
 
-The batch kernel used to route a unit to the vectorized path whenever *any*
-batching was possible, silently bypassing an armed fault plan for the whole
-unit.  ``solve_unit`` now splits a faulted batch unit per instance: every
-instance the plan could target goes through the scalar per-cell path (the
-only place ``FaultPlan.fire`` is consulted), the rest keep the batch
-kernels, and the merged rows stay bitwise identical to the python kernel.
+The batched path used to route a unit to the vectorized kernels whenever
+*any* batching was possible, silently bypassing an armed fault plan for the
+whole unit.  ``solve_unit`` now splits a faulted unit per instance: every
+instance the plan could target goes through the per-cell path (the only
+place ``FaultPlan.fire`` is consulted), the rest keep ``solve_batch``, and
+the merged rows stay bitwise identical to the scalar strategy functions.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import pytest
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import CertificationError
+from repro.core.registry import get_info
 from repro.core.types import Resources
 from repro.engine import FaultPlan, FaultSpec, InjectedFault, solve_unit
-from repro.engine.batch import PendingInstance, WorkUnit
+from repro.engine.batch import PendingInstance, WorkUnit, _result_of
 from repro.obs.context import ObsConfig
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
@@ -39,6 +40,21 @@ def _unit(chains, strategies=("fertac",), **kwargs):
 
 def _rows_by_index(outcome):
     return dict(outcome.rows)
+
+
+def _scalar_rows(chains, names, transform=lambda outcome: outcome):
+    """``{index: {strategy: result}}`` from the scalar reference map.
+
+    ``transform`` is applied to every outcome first (e.g. a fault spec's
+    ``corrupt``), mirroring what the engine does before recording a row.
+    """
+    resources = Resources(2, 2)
+    rows = {index: {} for index in range(len(chains))}
+    for name in names:
+        for index, chain in enumerate(chains):
+            outcome = get_info(name).func(ChainProfile(chain), resources)
+            rows[index][name] = _result_of(transform(outcome), resources)
+    return rows
 
 
 class TestTargeting:
@@ -65,13 +81,13 @@ class TestBatchKernelInjection:
         """The regression: a targeted instance in a batched unit is hit."""
         chains = _chains(4)
         target = ChainProfile(chains[2]).fingerprint
-        clean = _rows_by_index(solve_unit(_unit(chains, kernel="batch")))
+        clean = _rows_by_index(solve_unit(_unit(chains)))
         plan = FaultPlan(
             specs=(FaultSpec(kind="corrupt", factor=0.5, fingerprint=target),),
             state_dir=str(tmp_path),
         )
         tampered = _rows_by_index(
-            solve_unit(_unit(chains, kernel="batch", faults=plan))
+            solve_unit(_unit(chains, faults=plan))
         )
         assert tampered[2]["fertac"].period == pytest.approx(
             clean[2]["fertac"].period * 0.5
@@ -80,23 +96,24 @@ class TestBatchKernelInjection:
     def test_untargeted_instances_stay_bitwise_identical(self, tmp_path):
         chains = _chains(4)
         target = ChainProfile(chains[2]).fingerprint
-        clean = _rows_by_index(solve_unit(_unit(chains, kernel="batch")))
+        clean = _rows_by_index(solve_unit(_unit(chains)))
         plan = FaultPlan(
             specs=(FaultSpec(kind="corrupt", factor=0.5, fingerprint=target),),
             state_dir=str(tmp_path),
         )
         tampered = _rows_by_index(
-            solve_unit(_unit(chains, kernel="batch", faults=plan))
+            solve_unit(_unit(chains, faults=plan))
         )
         for index in (0, 1, 3):
             assert tampered[index] == clean[index]
+        assert clean == _scalar_rows(chains, ("fertac",))
 
     def test_raise_fires_under_batch_kernel(self, tmp_path):
         plan = FaultPlan(
             specs=(FaultSpec(kind="raise"),), state_dir=str(tmp_path)
         )
         with pytest.raises(InjectedFault):
-            solve_unit(_unit(_chains(2), kernel="batch", faults=plan))
+            solve_unit(_unit(_chains(2), faults=plan))
 
     def test_certify_catches_batch_corruption(self, tmp_path):
         plan = FaultPlan(
@@ -105,29 +122,20 @@ class TestBatchKernelInjection:
         )
         with pytest.raises(CertificationError):
             solve_unit(
-                _unit(_chains(2), kernel="batch", faults=plan, certify=True)
+                _unit(_chains(2), faults=plan, certify=True)
             )
 
     def test_wildcard_plan_matches_python_kernel_results(self, tmp_path):
         """With every instance targeted, the routed path must equal the
-        python kernel bitwise (it is the same scalar code)."""
+        scalar reference map with the same corruption applied, bitwise."""
         chains = _chains(5, seed=3)
-        plan_a = FaultPlan(
-            specs=(FaultSpec(kind="corrupt", factor=0.25),),
-            state_dir=str(tmp_path / "a"),
-        )
-        plan_b = FaultPlan(
-            specs=(FaultSpec(kind="corrupt", factor=0.25),),
-            state_dir=str(tmp_path / "b"),
-        )
+        spec = FaultSpec(kind="corrupt", factor=0.25)
+        plan = FaultPlan(specs=(spec,), state_dir=str(tmp_path))
         strategies = ("fertac", "herad")
-        batch = _rows_by_index(
-            solve_unit(_unit(chains, strategies, kernel="batch", faults=plan_a))
+        routed = _rows_by_index(
+            solve_unit(_unit(chains, strategies, faults=plan))
         )
-        python = _rows_by_index(
-            solve_unit(_unit(chains, strategies, kernel="python", faults=plan_b))
-        )
-        assert batch == python
+        assert routed == _scalar_rows(chains, strategies, spec.corrupt)
 
     def test_mixed_unit_records_both_solve_paths(self, tmp_path):
         """A routed unit runs scalar cells for targeted instances and the
@@ -141,7 +149,6 @@ class TestBatchKernelInjection:
         outcome = solve_unit(
             _unit(
                 chains,
-                kernel="batch",
                 faults=plan,
                 obs=ObsConfig(trace=False, metrics=True),
             )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -10,19 +13,25 @@ from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
 from repro.engine import (
     BACKENDS,
-    KERNELS,
     CampaignEngine,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     MemoCache,
-    chunk_pending,
     default_engine,
+    plan_units,
     reset_default_engine,
     resolve_jobs,
     solve_unit,
+    units_from_groups,
 )
-from repro.engine.batch import PendingInstance, WorkUnit
+from repro.engine.batch import (
+    PendingInstance,
+    SpreadProcessPool,
+    WorkUnit,
+    _spread_worker,
+)
+from repro.engine.reference import scalar_arrays
 from repro.experiments.common import run_campaign
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
@@ -51,6 +60,21 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
+    def test_none_follows_the_affinity_mask(self, monkeypatch):
+        """A process pinned to fewer cores than the machine has must not
+        oversubscribe: the default is the affinity mask, not cpu_count."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
+        )
+        assert resolve_jobs(None) == 3
+        assert CampaignEngine().jobs == 3
+
+    def test_none_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_jobs(None) == 5
+
 
 class TestBatch:
     def test_chunking_covers_everything_in_order(self):
@@ -59,8 +83,10 @@ class TestBatch:
             PendingInstance(index=i, chain=c, strategies=("fertac",))
             for i, c in enumerate(chains)
         ]
-        units = chunk_pending(pending, Resources(2, 2), 2)
+        groups = plan_units(pending, jobs=1, chunk_size=2)
+        units = units_from_groups(groups, Resources(2, 2))
         assert [len(u.pending) for u in units] == [2, 2, 1]
+        assert [u.unit_id for u in units] == [0, 1, 2]
         flat = [item.index for u in units for item in u.pending]
         assert flat == [0, 1, 2, 3, 4]
 
@@ -214,6 +240,37 @@ class TestEngineConfig:
             engine.measure_latency("fertac", [], Resources(2, 2))
 
 
+class TestSpreadProcessPool:
+    """Process workers start on successive usable cores (placement only)."""
+
+    def test_workers_take_successive_cores_then_the_full_mask(
+        self, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setattr(
+            os,
+            "sched_setaffinity",
+            lambda pid, mask: calls.append(set(mask)),
+            raising=False,
+        )
+        slots = multiprocessing.Value("i", 0)
+        for _ in range(4):
+            _spread_worker(slots)
+        full = {0, 1, 2}
+        assert calls == [{0}, full, {1}, full, {2}, full, {0}, full]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity"
+    )
+    def test_worker_ends_with_the_parent_mask(self):
+        with SpreadProcessPool(2) as pool:
+            masks = [pool.submit(os.sched_getaffinity, 0) for _ in range(4)]
+            assert all(m.result() == os.sched_getaffinity(0) for m in masks)
+
+
 class TestSentinelPrefill:
     def test_arrays_prefilled_with_sentinels_not_garbage(self):
         """Unsolved cells are NaN/-1, never uninitialized np.empty memory."""
@@ -260,12 +317,19 @@ class TestResilientDeterminism:
 
 
 class TestKernelTier:
-    """The batch kernel tier must be invisible in results, on every backend."""
+    """Every engine unit solves through ``solve_batch``, on every backend.
+
+    Parity is pinned against the scalar reference map
+    ``[info.func(p, r) for p in profiles]`` (no engine in the loop).
+    """
 
     def test_rejects_unknown_kernel(self):
-        with pytest.raises(InvalidParameterError):
-            CampaignEngine(kernel="simd")
-        assert KERNELS == ("python", "batch")
+        """The ``kernel`` switch is retired: there is one solve path."""
+        with pytest.raises(TypeError):
+            CampaignEngine(kernel="batch")
+        import repro.engine
+
+        assert not hasattr(repro.engine, "KERNELS")
 
     @pytest.mark.parametrize(
         "backend,jobs", [("serial", 1), ("thread", 2), ("process", 4)]
@@ -273,28 +337,27 @@ class TestKernelTier:
     def test_batch_kernel_bitwise_parity(self, backend, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        python = CampaignEngine(jobs=1, backend="serial", memo=False)
-        batch = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=2, kernel="batch"
+        engine = CampaignEngine(
+            jobs=jobs, backend=backend, memo=False, chunk_size=2
         )
         _assert_same_arrays(
-            python.solve_instances(chains, resources, PAPER_ORDER),
-            batch.solve_instances(chains, resources, PAPER_ORDER),
+            scalar_arrays(chains, resources, PAPER_ORDER),
+            engine.solve_instances(chains, resources, PAPER_ORDER),
         )
 
     def test_batch_kernel_with_certification(self):
         chains = _chains(4)
-        engine = CampaignEngine(
-            jobs=1, backend="serial", memo=False, kernel="batch"
-        )
+        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
         arrays = engine.solve_instances(
             chains, Resources(2, 3), PAPER_ORDER, certify=True
         )
-        for name in PAPER_ORDER:
-            assert np.isfinite(arrays[name].periods).all()
+        _assert_same_arrays(
+            scalar_arrays(chains, Resources(2, 3), PAPER_ORDER), arrays
+        )
 
     def test_fault_plan_forces_python_path(self, tmp_path):
-        """Faults fire per cell, so an armed plan must bypass the batch tier."""
+        """Faults fire per cell, so an armed plan routes its targets off
+        the batched path."""
         chains = _chains(2)
         plan = FaultPlan(
             specs=(FaultSpec(kind="raise", strategy="herad"),),
@@ -307,7 +370,6 @@ class TestKernelTier:
             ),
             resources=Resources(2, 2),
             faults=plan,
-            kernel="batch",
         )
         with pytest.raises(InjectedFault):
             solve_unit(unit)
@@ -317,20 +379,17 @@ class TestKernelTier:
         chains = _chains(5)
         resources = Resources(3, 3)
 
-        def run(kernel, jobs=1, backend="serial"):
-            engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=MemoCache(), kernel=kernel
-            )
+        def run(jobs=1, backend="serial"):
+            engine = CampaignEngine(jobs=jobs, backend=backend, memo=MemoCache())
             engine.solve_instances(chains, resources, PAPER_ORDER)
             engine.solve_instances(chains, resources, PAPER_ORDER)
             stats = engine.memo.stats
             return stats.hits, stats.misses, stats.size
 
-        want = run("python")
-        assert want == (
+        want = (
             len(chains) * len(PAPER_ORDER),
             len(chains) * len(PAPER_ORDER),
             len(chains) * len(PAPER_ORDER),
         )
-        assert run("batch") == want
-        assert run("batch", jobs=4, backend="process") == want
+        assert run() == want
+        assert run(jobs=4, backend="process") == want

@@ -24,7 +24,9 @@ from repro.engine import (
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.engine.reference import scalar_arrays
 from repro.obs import Observability, ObsConfig, monotonic, validate_chrome_trace, to_chrome_trace
+from repro.obs.sketch import sketch_of
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 
@@ -87,7 +89,14 @@ class TestSpanCoverage:
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
         document = to_chrome_trace(engine.obs.spans(), engine.obs.metrics.snapshot())
         assert validate_chrome_trace(document) == []
-        assert len([s for s in engine.obs.spans() if s.name == "solve"]) == 12
+        # All 12 cells solve through one solve_batch span per strategy
+        # group; planned units hold one strategy each.
+        spans = engine.obs.spans()
+        assert engine.obs.metrics.counter("solve.count") == 12
+        batch_spans = [s for s in spans if s.name == "solve_batch"]
+        assert len(batch_spans) == len([s for s in spans if s.name == "unit"])
+        assert sum(dict(s.attrs)["instances"] for s in batch_spans) == 12
+        assert not [s for s in spans if s.name == "solve"]
 
 
 def _deterministic(counters):
@@ -197,16 +206,16 @@ class TestExactCounters:
 
     def test_batch_kernel_memo_counters_match_serial(self):
         """Bulk memo fills (get_many/put_many) count hit/miss exactly like
-        the per-instance gets of a serial python-kernel campaign — on the
-        same ``--jobs 4`` tiers the per-instance counters are pinned on."""
+        per-instance gets of a serial campaign would — on the same
+        ``--jobs 4`` tiers the per-instance counters are pinned on."""
         chains = _chains(6)
         resources = Resources(3, 3)
         cells = len(chains) * len(PAPER_ORDER)
 
-        def run(jobs, backend, kernel):
+        def run(jobs, backend):
             engine = CampaignEngine(
                 jobs=jobs, backend=backend, memo=True, chunk_size=1,
-                obs=ObsConfig(metrics=True), kernel=kernel,
+                obs=ObsConfig(metrics=True),
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
             engine.solve_instances(chains, resources, PAPER_ORDER)
@@ -219,11 +228,10 @@ class TestExactCounters:
             assert engine.memo.stats.misses == memo_counters["memo.misses"]
             return memo_counters
 
-        serial = run(1, "serial", "python")
+        serial = run(1, "serial")
         assert serial == {"memo.hits": float(cells), "memo.misses": float(cells)}
-        assert run(4, "process", "batch") == serial
-        assert run(2, "thread", "batch") == serial
-        assert run(4, "process", "python") == serial
+        assert run(4, "process") == serial
+        assert run(2, "thread") == serial
 
     def test_memo_hit_counters_are_exact(self):
         chains = _chains(4)
@@ -248,11 +256,11 @@ class TestSketchParity:
     """
 
     @staticmethod
-    def _sketches(jobs, backend, kernel="python"):
+    def _sketches(jobs, backend, chunk_size=1):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=1,
-            obs=ObsConfig(metrics=True), kernel=kernel,
+            jobs=jobs, backend=backend, memo=False, chunk_size=chunk_size,
+            obs=ObsConfig(metrics=True),
         )
         engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
         snapshot = engine.obs.metrics.snapshot()
@@ -273,9 +281,24 @@ class TestSketchParity:
         assert pickle.dumps(self._sketches(2, "thread")) == pickle.dumps(serial)
 
     def test_batch_kernel_sketches_match_the_scalar_path(self):
+        """The period sketches equal ones built from the scalar reference
+        map, whatever the unit plan."""
+        chains = _chains(6)
+        reference = sorted(
+            (
+                f"solve.period.{name}",
+                sketch_of(
+                    scalar_arrays(chains, Resources(3, 3), (name,))[
+                        name
+                    ].periods.tolist()
+                ),
+            )
+            for name in PAPER_ORDER
+        )
         serial = self._sketches(1, "serial")
-        batched = self._sketches(4, "process", kernel="batch")
-        assert pickle.dumps(batched) == pickle.dumps(serial)
+        assert sorted(serial, key=lambda item: item[0]) == reference
+        planned = self._sketches(4, "process", chunk_size=None)
+        assert pickle.dumps(planned) == pickle.dumps(serial)
 
     def test_quantiles_come_from_the_merged_sketch(self):
         (first, *_rest) = self._sketches(4, "process")

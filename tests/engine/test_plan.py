@@ -1,7 +1,7 @@
 """Cost-adaptive planner: determinism, wall targeting, batch grouping.
 
 The planner's contract (:mod:`repro.engine.plan`): a *pure* function of
-``(pending, jobs, cost snapshot, unit wall, chunk_size, kernel)`` whose
+``(pending, jobs, cost snapshot, unit wall, chunk_size)`` whose
 groups partition every pending cell exactly once — results can therefore
 never depend on the plan, only wall time can (the engine's bitwise parity
 across job counts is pinned separately in ``test_scaling.py``).
@@ -49,8 +49,8 @@ class TestPlanDeterminism:
 
     def test_every_cell_planned_exactly_once(self):
         pending = _pending(count=17, strategies=("a", "b", "c"))
-        for kernel in ("python", "batch"):
-            groups = plan_units(pending, jobs=3, kernel=kernel)
+        for chunk_size in (None, 4):
+            groups = plan_units(pending, jobs=3, chunk_size=chunk_size)
             cells = _cells(groups)
             assert sorted(cells) == sorted(
                 (item.index, name)
@@ -106,7 +106,7 @@ class TestWallTargeting:
 class TestBatchGrouping:
     def test_batch_kernel_units_are_single_strategy(self):
         pending = _pending(count=9, strategies=("a", "b"))
-        groups = plan_units(pending, jobs=2, kernel="batch")
+        groups = plan_units(pending, jobs=2)
         for group in groups:
             names = {name for item in group for name in item.strategies}
             assert len(names) == 1  # one maximal solve_batch shard per unit
@@ -117,10 +117,56 @@ class TestBatchGrouping:
         ]
         assert order == sorted(order, key=("a", "b").index)
 
+    def test_strategy_units_are_even(self):
+        pending = _pending(count=10, strategies=("a",))
+        groups = plan_units(pending, jobs=1, cost_snapshot=(("a", 0.03),))
+        # 0.3 s of cells at a 0.075 s target: four units of 2-3 cells,
+        # never a one-cell tail.
+        assert [len(g) for g in groups] == [2, 3, 2, 3]
+
     def test_batch_with_chunk_size_keeps_fixed_rows(self):
         pending = _pending(count=6, strategies=("a", "b"))
-        groups = plan_units(pending, jobs=2, kernel="batch", chunk_size=3)
+        groups = plan_units(pending, jobs=2, chunk_size=3)
         assert [len(g) for g in groups] == [3, 3]
+
+
+class TestKernelSpans:
+    def test_kernel_strategy_is_cut_only_between_spans(self):
+        pending = _pending(count=12, strategies=("a", "b"))
+        groups = plan_units(
+            pending,
+            jobs=4,
+            cost_snapshot=(("a", 1.0), ("b", 1.0)),
+            spans={"a": 5},
+        )
+        rows = [
+            ([item.index for item in g], g[0].strategies[0]) for g in groups
+        ]
+        # Costly cells want one unit each; "a" keeps whole spans of 5 (the
+        # sub-batches the serial path hands its kernel), "b" has no kernel.
+        assert [r for r, name in rows if name == "a"] == [
+            [0, 1, 2, 3, 4],
+            [5, 6, 7, 8, 9],
+            [10, 11],
+        ]
+        assert [r for r, name in rows if name == "b"] == [
+            [i] for i in range(12)
+        ]
+
+    def test_cheap_spans_share_a_unit(self):
+        pending = _pending(count=12, strategies=("a",))
+        groups = plan_units(
+            pending, jobs=1, cost_snapshot=(("a", 1e-3),), spans={"a": 2}
+        )
+        # 12 ms of cells at a 3 ms target: four units of 3 cells would cut
+        # a span, so each unit takes whole spans (6 spans into 4 units).
+        assert [len(g) for g in groups] == [2, 4, 2, 4]
+
+    def test_spans_change_the_plan_not_the_cells(self):
+        pending = _pending(count=17, strategies=("a", "b", "c"))
+        plain = plan_units(pending, jobs=3)
+        spanned = plan_units(pending, jobs=3, spans={"a": 4, "c": 50})
+        assert sorted(_cells(plain)) == sorted(_cells(spanned))
 
 
 class TestAdaptiveCostModel:
@@ -137,8 +183,8 @@ class TestAdaptiveCostModel:
 
     def test_apportions_by_current_estimates(self):
         model = AdaptiveCostModel()
-        model.feed_sketch("slow", 0.09)
-        model.feed_sketch("fast", 0.01)
+        model.observe_unit({"slow": 1}, seconds=0.09)
+        model.observe_unit({"fast": 1}, seconds=0.01)
         model.observe_unit({"slow": 1, "fast": 1}, seconds=0.1)
         assert model.cell_cost("slow") > model.cell_cost("fast")
 
@@ -146,13 +192,14 @@ class TestAdaptiveCostModel:
         model = AdaptiveCostModel()
         model.observe_unit({}, seconds=1.0)
         model.observe_unit({"a": 1}, seconds=0.0)
-        model.feed_sketch("a", 0.0)
+        model.observe_unit({"a": 0}, seconds=1.0)
         assert model.snapshot() == ()
 
     def test_snapshot_is_sorted_and_frozen(self):
         model = AdaptiveCostModel()
-        model.feed_sketch("b", 0.2)
-        model.feed_sketch("a", 0.1)
+        model.observe_unit({"b": 1}, seconds=0.2)
+        model.observe_unit({"a": 1}, seconds=0.1)
         snapshot = model.snapshot()
-        assert snapshot == (("a", 0.1), ("b", 0.2))
+        assert [name for name, _ in snapshot] == ["a", "b"]
+        assert [cost for _, cost in snapshot] == pytest.approx([0.1, 0.2])
         assert isinstance(snapshot, tuple)

@@ -2,7 +2,7 @@
 
 ISSUE 10's contract, pinned end to end on oracle-grade workloads:
 
-* serial vs ``--jobs 2`` vs ``--jobs 4`` vs ``--jobs 4 --kernel batch``
+* the scalar reference map vs serial vs ``--jobs 2`` vs ``--jobs 4``
   produce **bitwise identical** campaign arrays (zero-pickle planes,
   cost-adaptive plans, and worker memo shards are pure transport);
 * killing a ``--jobs`` process campaign mid-run and resuming through the
@@ -28,6 +28,7 @@ from repro.engine import (
     RetryPolicy,
     load_journal,
 )
+from repro.engine.reference import scalar_arrays
 from repro.obs.context import ObsConfig
 from repro.workloads import generators as g
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
@@ -79,9 +80,13 @@ class TestBitwiseParity:
         _assert_same_arrays(arrays, reference)
 
     def test_process_jobs4_batch_kernel_matches_serial(self, oracle_setup):
+        """The engine's single solve path equals the scalar functions."""
         chains, resources, names, reference = oracle_setup
+        _assert_same_arrays(
+            scalar_arrays(chains, resources, names), reference
+        )
         arrays = CampaignEngine(
-            jobs=4, backend="process", memo=False, kernel="batch"
+            jobs=4, backend="process", memo=False
         ).solve_instances(chains, resources, names)
         _assert_same_arrays(arrays, reference)
 

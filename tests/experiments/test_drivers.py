@@ -58,6 +58,14 @@ class TestFig2:
         text = fig2.render(result)
         assert "paper: 59.0%" in text
 
+    def test_no_optimal_chain_gives_an_empty_panel(self):
+        result = fig2.run(num_chains=6, seed=102001, jobs=1)
+        assert result.percent_optimal == 0.0
+        assert result.optimal_only.num_chains == 0
+        assert result.optimal_only.share_within_extra_cores(2) == 0.0
+        assert result.all_results.num_chains == 6
+        assert "no chain reached the optimal period" in fig2.render(result)
+
 
 class TestFig3And4:
     def test_fig3_small(self):

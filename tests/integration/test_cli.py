@@ -44,6 +44,15 @@ def test_fig2_small_campaign(capsys):
     assert "Fig. 2" in out
 
 
+def test_fig2_with_no_optimal_chain_renders_an_empty_panel(capsys):
+    """At this seed FERTAC reaches the optimal period on none of the six
+    chains: Fig. 2b is an empty panel that says so, not a crash."""
+    assert main(["fig2", "--chains", "6", "--seed", "102001", "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "(0.0% optimal periods" in out
+    assert "(empty: no chain reached the optimal period)" in out
+
+
 def test_out_directory_written(tmp_path, capsys):
     assert main(["table3", "--out", str(tmp_path)]) == 0
     report = tmp_path / "table3.txt"
