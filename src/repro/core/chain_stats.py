@@ -13,11 +13,17 @@ interval.  :class:`ChainProfile` bundles those precomputations:
 
 All indices are 0-based and intervals are inclusive, matching
 :mod:`repro.core.task`.
+
+The ndarray ``prefix``/``next_sequential`` feed the batch kernels; the
+scalar queries answer from plain-list mirrors built once, because the
+greedy strategies make thousands of them per solve and a numpy call on
+a ~20-element array costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -50,6 +56,8 @@ class ChainProfile:
         "_max_weight",
         "_max_seq_weight",
         "_total",
+        "_prefix_rows",
+        "_next_seq",
     )
 
     def __init__(self, chain: TaskChain) -> None:
@@ -85,6 +93,12 @@ class ChainProfile:
         else:
             self._max_seq_weight = tuple(0.0 for _ in self._weights)
         self._total = tuple(float(p[-1]) for p in self.prefix)
+
+        # Plain-list mirrors for the scalar queries below.
+        self._prefix_rows: tuple[list[float], ...] = tuple(
+            p.tolist() for p in self.prefix
+        )
+        self._next_seq: list[int] = nxt.tolist()
 
     # -- basic accessors ----------------------------------------------------
 
@@ -136,16 +150,33 @@ class ChainProfile:
                 f"invalid interval [{start}, {end}] for a chain of {self.n} tasks"
             )
 
+    def _prefix_row(self, core_type: CoreIndex) -> list[float]:
+        rows = self._prefix_rows
+        if not 0 <= core_type < len(rows):
+            raise InvalidParameterError(
+                f"core type {core_type} out of range for a chain profiled "
+                f"on {len(rows)} type(s)"
+            )
+        return rows[core_type]
+
+    @staticmethod
+    def _check_period(period: float) -> None:
+        # The chained comparison is False for NaN as well.
+        if not 0 < period < INFINITY:
+            raise InvalidParameterError(
+                f"target period must be positive and finite: {period}"
+            )
+
     def interval_weight(self, start: int, end: int, core_type: CoreIndex) -> float:
         """Single-core weight of the interval, ``w([tau_s, tau_e], 1, v)``."""
         self._check_interval(start, end)
-        p = self.prefix[int(core_type)]
+        p = self._prefix_row(core_type)
         return float(p[end + 1] - p[start])
 
     def is_replicable(self, start: int, end: int) -> bool:
         """Paper's ``IsRep``: the interval contains no sequential task."""
         self._check_interval(start, end)
-        return int(self.next_sequential[start]) > end
+        return self._next_seq[start] > end
 
     def final_replicable_task(self, start: int, end: int) -> int:
         """Paper's ``FinalRepTask``: largest ``i >= end`` with ``[start, i]``
@@ -155,7 +186,7 @@ class ChainProfile:
         guarded by ``IsRep``).
         """
         self._check_interval(start, end)
-        nxt = int(self.next_sequential[start])
+        nxt = self._next_seq[start]
         if nxt <= end:
             raise InvalidChainError(
                 f"interval [{start}, {end}] is not replicable; FinalRepTask "
@@ -175,7 +206,7 @@ class ChainProfile:
         if cores < 1:
             return INFINITY
         w = self.interval_weight(start, end, core_type)
-        if self.is_replicable(start, end):
+        if self._next_seq[start] > end:
             return w / cores
         return w
 
@@ -187,11 +218,11 @@ class ChainProfile:
         Note the formula intentionally follows the paper even for intervals
         containing sequential tasks (callers detect the infeasibility through
         stage-weight validation).
+
+        Raises:
+            InvalidParameterError: for a non-positive or non-finite period.
         """
-        if period <= 0 or not math.isfinite(period):
-            raise InvalidParameterError(
-                f"target period must be positive and finite: {period}"
-            )
+        self._check_period(period)
         w = self.interval_weight(start, end, core_type)
         return max(1, math.ceil(w / period))
 
@@ -207,51 +238,34 @@ class ChainProfile:
         interval sum grows and the replicable divisor can only be lost (a
         replicable prefix divided by ``cores`` never exceeds the same
         interval's sequential weight).
+
+        Raises:
+            InvalidParameterError: for a non-positive or non-finite period, or
+                an out-of-range core type.
         """
         self._check_interval(start, start)
+        p = self._prefix_row(core_type)
+        self._check_period(period)
         if cores < 1:
             # Weight is infinite for 0 cores: nothing fits, forced stage.
             return start
-        p = self.prefix[int(core_type)]
         base = p[start]
-        nxt = int(self.next_sequential[start])
+        nxt = self._next_seq[start]
+        last = self.n - 1
 
         best = start
         # Replicable region: end in [start, nxt-1]; weight = sum / cores.
-        hi_rep = min(nxt - 1, self.n - 1)
-        if hi_rep >= start:
-            limit = base + period * cores
-            # Find the last e with p[e+1] <= limit within the region.
-            e = int(np.searchsorted(p, limit, side="right")) - 2
-            e = min(e, hi_rep)
-            if e >= start:
-                best = max(best, e)
+        # ``bisect_right(p, limit) - 2`` is the last e with p[e+1] <= limit.
+        if nxt > start:
+            e = min(bisect_right(p, base + period * cores) - 2, nxt - 1)
+            if e > best:
+                best = e
         # Sequential region: end in [nxt, n-1]; weight = sum (no division).
-        if nxt <= self.n - 1:
-            limit = base + period
-            e = int(np.searchsorted(p, limit, side="right")) - 2
-            e = min(e, self.n - 1)
+        if nxt <= last:
+            e = min(bisect_right(p, base + period) - 2, last)
             if e >= nxt:
-                best = max(best, e)
+                best = e
         return best
-
-    # -- convenience ----------------------------------------------------------
-
-    def interval_weights_vector(
-        self, end: int, core_type: CoreIndex
-    ) -> np.ndarray:
-        """Vector of ``w([tau_i, tau_end], 1, v)`` for ``i`` in ``0..end``.
-
-        Used by the vectorized HeRAD implementation.
-        """
-        self._check_interval(0, end)
-        p = self.prefix[int(core_type)]
-        return p[end + 1] - p[: end + 1]
-
-    def replicable_to(self, end: int) -> np.ndarray:
-        """Boolean vector ``rep[i] = is_replicable(i, end)`` for ``i <= end``."""
-        self._check_interval(0, end)
-        return self.next_sequential[: end + 1] > end
 
 
 def profile_of(chain: "TaskChain | ChainProfile") -> ChainProfile:

@@ -1,351 +1,36 @@
 """HeRAD — Heterogeneous Resource Allocation using Dynamic programming.
 
-Production implementation of the paper's optimal strategy (Section V,
-Algos. 7-11).  It computes, for every prefix of ``j`` tasks and every core
-budget ``(b, l)``, the minimum achievable period ``P*(j, b, l)`` of Eq. (4):
+The paper's optimal strategy (Section V, Algos. 7-11).  It computes, for
+every prefix of ``j`` tasks and every core budget ``(b, l)``, the minimum
+achievable period ``P*(j, b, l)`` of Eq. (4):
 
     P*(j, b, l) = min over stage starts i and core counts u of
                   max(P*(i-1, b-u, l), w([tau_i, tau_j], u, B))   (big stage)
                   max(P*(i-1, b, l-u), w([tau_i, tau_j], u, L))   (little stage)
 
 with the secondary objective resolved per cell by the paper's
-``CompareCells`` (Algo. 10) rule.  A key implementation insight (proved in
-``tests/core/test_herad_equivalence.py`` and DESIGN.md §5): the
-``CompareCells`` fold is order-insensitive and equivalent to taking the
-lexicographic minimum of the key ``(period, big cores used, little cores
-used)``.  That makes the per-cell reduction expressible with vectorized
-NumPy min/argmin passes, turning the hot ``O(n^2 b l (b+l))`` loop nest into
-``O(n (b+l))`` NumPy kernel calls.
+``CompareCells`` (Algo. 10) rule.
 
-The literal pseudocode transcription lives in
-:mod:`repro.core.herad_reference`; both produce identical periods and core
-usages (the extracted stage lists may differ among equivalent ties).
+There is one DP: the vectorized kernel
+:func:`repro.core.kernels.herad_batch`, which these entry points call with a
+one-row batch.  The literal pseudocode transcription lives in
+:mod:`repro.core.herad_reference` and stays the differential oracle; both
+produce identical periods and core usages (the extracted stage lists may
+differ among equivalent ties).
 
 Complexity matches the paper: ``O(n^2 b l (b+l))`` time, ``O(n b l)`` space.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from ..obs.context import counter_add
 from .binary_search import ScheduleOutcome
-from .bounds import period_bounds
 from .chain_stats import ChainProfile, profile_of
-from .errors import InvalidPlatformError
-from .merge import merge_replicable_stages
+from .kernels.herad_batch import herad_batch
 from .solution import Solution
-from .stage import Stage
 from .task import TaskChain
-from .types import CoreType, Resources
+from .types import Resources
 
 __all__ = ["herad", "herad_solution"]
-
-_INT_SENTINEL = np.iinfo(np.int32).max
-
-
-class _Tables:
-    """The HeRAD solution matrix as a structure of NumPy arrays.
-
-    Axis order is ``(plane, big budget, little budget)`` where plane ``j``
-    describes optimal schedules of the first ``j`` tasks.
-    """
-
-    __slots__ = ("period", "acc_b", "acc_l", "prev_b", "prev_l", "vtype", "start")
-
-    def __init__(self, n: int, big: int, little: int) -> None:
-        shape = (n + 1, big + 1, little + 1)
-        self.period = np.full(shape, np.inf, dtype=np.float64)
-        self.period[0] = 0.0  # P*(0, ., .) = 0
-        self.acc_b = np.zeros(shape, dtype=np.int32)
-        self.acc_l = np.zeros(shape, dtype=np.int32)
-        self.prev_b = np.zeros(shape, dtype=np.int32)
-        self.prev_l = np.zeros(shape, dtype=np.int32)
-        self.vtype = np.full(shape, int(CoreType.LITTLE), dtype=np.int8)
-        self.start = np.zeros(shape, dtype=np.int32)
-
-
-def _reduce_candidates(
-    cand_period: np.ndarray, cand_acc_b: np.ndarray, cand_acc_l: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce candidate tensors over axis 0 by the lexicographic key
-    ``(period, acc_b, acc_l)``.
-
-    Returns the winning ``(period, acc_b, acc_l, index)`` planes.
-    """
-    p_min = cand_period.min(axis=0)
-    # Exact DP tie-break: p_min comes from the very array it is compared to,
-    # so equal values are bitwise-identical by construction.
-    mask = cand_period == p_min  # lint: ignore[float-equality]
-    b_masked = np.where(mask, cand_acc_b, _INT_SENTINEL)
-    b_min = b_masked.min(axis=0)
-    mask &= cand_acc_b == b_min
-    l_masked = np.where(mask, cand_acc_l, _INT_SENTINEL)
-    l_min = l_masked.min(axis=0)
-    mask &= cand_acc_l == l_min
-    winner = mask.argmax(axis=0)
-    return p_min, b_min, l_min, winner
-
-
-def _update_plane(
-    cur: dict[str, np.ndarray],
-    region: tuple[slice, slice],
-    new_period: np.ndarray,
-    new_acc_b: np.ndarray,
-    new_acc_l: np.ndarray,
-    new_fields: dict[str, np.ndarray],
-) -> None:
-    """Key-compare update of the working plane on ``region``.
-
-    Replaces a cell when the new key ``(period, acc_b, acc_l)`` is strictly
-    lexicographically smaller (equal keys keep the incumbent — the competing
-    solutions are equivalent for both objectives).
-    """
-    cur_p = cur["period"][region]
-    cur_b = cur["acc_b"][region]
-    cur_l = cur["acc_l"][region]
-    # Lexicographic DP key: both planes hold values produced by the identical
-    # max/divide pipeline, so equal keys really are bitwise-equal; isclose
-    # here would merge distinct optima.
-    better = (new_period < cur_p) | (
-        (new_period == cur_p)  # lint: ignore[float-equality]
-        & ((new_acc_b < cur_b) | ((new_acc_b == cur_b) & (new_acc_l < cur_l)))
-    )
-    if not better.any():
-        return
-    np.copyto(cur_p, new_period, where=better)
-    np.copyto(cur_b, new_acc_b, where=better)
-    np.copyto(cur_l, new_acc_l, where=better)
-    for name, value in new_fields.items():
-        np.copyto(cur[name][region], value, where=better)
-
-
-#: Plane size (cells) below which the scalar sweep beats the vectorized one.
-_SWEEP_SCALAR_CUTOFF = 30
-
-
-def _neighbor_sweep_small(
-    cur: dict[str, np.ndarray], big: int, little: int
-) -> None:
-    """Scalar ascending sweep — fastest for tiny ``(b, l)`` planes.
-
-    Each cell compares against already-final lower neighbors, so the result
-    is the lexicographic key minimum over each cell's lower-left quadrant.
-    """
-    p = cur["period"]
-    ab = cur["acc_b"]
-    al = cur["acc_l"]
-    fields = [cur[name] for name in ("prev_b", "prev_l", "vtype", "start")]
-    for bb in range(big + 1):
-        for ll in range(little + 1):
-            key = (p[bb, ll], ab[bb, ll], al[bb, ll])
-            src: tuple[int, int] | None = None
-            if ll > 0:
-                nk = (p[bb, ll - 1], ab[bb, ll - 1], al[bb, ll - 1])
-                if nk < key:
-                    key, src = nk, (bb, ll - 1)
-            if bb > 0:
-                nk = (p[bb - 1, ll], ab[bb - 1, ll], al[bb - 1, ll])
-                if nk < key:
-                    key, src = nk, (bb - 1, ll)
-            if src is not None:
-                p[bb, ll], ab[bb, ll], al[bb, ll] = key
-                for f in fields:
-                    f[bb, ll] = f[src]
-
-
-def _neighbor_sweep(cur: dict[str, np.ndarray], big: int, little: int) -> None:
-    """Propagate solutions needing one core fewer (Algo. 9, lines 2-3).
-
-    Each cell must end up holding the lexicographic key minimum over its
-    lower-left quadrant (budgets ``(b', l') <= (b, l)``), with the winning
-    cell's companion fields carried along.  Instead of the naive
-    ``O(b * l)`` scalar double loop, run two vectorized lexicographic
-    prefix-minimum passes — one per axis, each a Hillis-Steele doubling
-    scan (``O(log)`` whole-plane steps) — tracking the flat *source* index
-    of each running minimum, then gather the winners' rows once at the end.
-    Prefix minima compose across the two axes because the lexicographic
-    minimum is associative and commutative; strict comparisons keep the
-    incumbent cell on ties, exactly like the scalar sweep.
-
-    The two integer tie-breakers ``(acc_b, acc_l)`` are packed into one
-    ``int64`` (order-preserving — both are non-negative and fit in 32
-    bits), so each step is a single ``(period, combo)`` lexicographic test.
-    Tiny planes fall back to the scalar sweep, which has lower constant
-    overhead (see ``benchmarks/bench_engine.py``).
-    """
-    if (big + 1) * (little + 1) <= _SWEEP_SCALAR_CUTOFF:
-        _neighbor_sweep_small(cur, big, little)
-        return
-
-    kp = cur["period"].copy()
-    combo = (cur["acc_b"].astype(np.int64) << 32) | cur["acc_l"].astype(np.int64)
-    own = np.arange(kp.size, dtype=np.intp).reshape(kp.shape)
-    src = own.copy()
-
-    for axis, size in ((1, little), (0, big)):
-        step = 1
-        while step <= size:
-            if axis == 1:
-                prev_p = kp[:, :-step].copy()
-                prev_c = combo[:, :-step].copy()
-                prev_s = src[:, :-step].copy()
-                cur_p, cur_c, cur_s = kp[:, step:], combo[:, step:], src[:, step:]
-            else:
-                prev_p = kp[:-step].copy()
-                prev_c = combo[:-step].copy()
-                prev_s = src[:-step].copy()
-                cur_p, cur_c, cur_s = kp[step:], combo[step:], src[step:]
-            better = (prev_p < cur_p) | ((prev_p == cur_p) & (prev_c < cur_c))
-            if better.any():
-                np.copyto(cur_p, prev_p, where=better)
-                np.copyto(cur_c, prev_c, where=better)
-                np.copyto(cur_s, prev_s, where=better)
-            step <<= 1
-
-    changed = src != own
-    if not changed.any():
-        return
-    for plane in cur.values():
-        winners = plane.ravel()[src]
-        np.copyto(plane, winners, where=changed)
-
-
-def _fill_tables(profile: ChainProfile, big: int, little: int) -> _Tables:
-    """Run the DP over all planes and return the filled solution matrix."""
-    n = profile.n
-    tables = _Tables(n, big, little)
-    caps = {CoreType.BIG: big, CoreType.LITTLE: little}
-
-    bb_grid = np.arange(big + 1, dtype=np.int32)[:, None]
-    ll_grid = np.arange(little + 1, dtype=np.int32)[None, :]
-
-    # The working plane: one buffer per field, allocated once and reset per
-    # prefix length ``j`` (the previous hot-loop body rebuilt all seven
-    # arrays ``n`` times per solve).
-    shape = (big + 1, little + 1)
-    cur = {
-        "period": np.empty(shape, dtype=np.float64),
-        "acc_b": np.empty(shape, dtype=np.int32),
-        "acc_l": np.empty(shape, dtype=np.int32),
-        "prev_b": np.empty(shape, dtype=np.int32),
-        "prev_l": np.empty(shape, dtype=np.int32),
-        "vtype": np.empty(shape, dtype=np.int8),
-        "start": np.empty(shape, dtype=np.int32),
-    }
-
-    # Everything below except ``starts``/``stage_w`` is independent of the
-    # prefix length ``j`` — precompute per ``(core_type, u)`` so the hot
-    # loop allocates nothing but the candidate tensors.  ``_update_plane``
-    # broadcasts, so the half-open grids can be passed unexpanded.
-    group: dict[tuple[CoreType, int], tuple] = {}
-    for u in range(1, big + 1):
-        pred = (slice(0, big + 1 - u), slice(None))
-        region = (slice(u, big + 1), slice(None))
-        fields = {
-            "prev_b": bb_grid[u:] - u,
-            "prev_l": ll_grid,
-            "vtype": np.int8(int(CoreType.BIG)),
-        }
-        group[CoreType.BIG, u] = (pred, region, fields, u, 0)
-    for u in range(1, little + 1):
-        pred = (slice(None), slice(0, little + 1 - u))
-        region = (slice(None), slice(u, little + 1))
-        fields = {
-            "prev_b": bb_grid,
-            "prev_l": ll_grid[:, u:] - u,
-            "vtype": np.int8(int(CoreType.LITTLE)),
-        }
-        group[CoreType.LITTLE, u] = (pred, region, fields, 0, u)
-
-    for j in range(1, n + 1):
-        end = j - 1
-        cur["period"].fill(np.inf)
-        cur["acc_b"].fill(0)
-        cur["acc_l"].fill(0)
-        cur["prev_b"].fill(0)
-        cur["prev_l"].fill(0)
-        cur["vtype"].fill(int(CoreType.LITTLE))
-        cur["start"].fill(0)
-
-        rep_idx = np.flatnonzero(profile.replicable_to(end)).astype(np.int64)
-        all_idx = np.arange(j, dtype=np.int64)
-
-        for core_type in (CoreType.BIG, CoreType.LITTLE):
-            cap = caps[core_type]
-            if cap == 0:
-                continue
-            weights = profile.interval_weights_vector(end, core_type)
-
-            for u in range(1, cap + 1):
-                if u == 1:
-                    starts = all_idx
-                    stage_w = weights
-                else:
-                    # Sequential stages gain nothing from extra cores
-                    # (Section V optimization): only replicable starts.
-                    if rep_idx.size == 0:
-                        break
-                    starts = rep_idx
-                    stage_w = weights[rep_idx] / u
-
-                pred_grid, region, fields, add_b, add_l = group[core_type, u]
-                pred = (starts, *pred_grid)
-
-                cand_p = np.maximum(
-                    tables.period[pred], stage_w[:, None, None]
-                )
-                cand_b = tables.acc_b[pred]
-                cand_l = tables.acc_l[pred]
-                if add_b:
-                    cand_b = cand_b + np.int32(add_b)
-                if add_l:
-                    cand_l = cand_l + np.int32(add_l)
-
-                p_min, b_min, l_min, winner = _reduce_candidates(
-                    cand_p, cand_b, cand_l
-                )
-                new_fields = dict(fields)
-                new_fields["start"] = starts[winner].astype(np.int32)
-                _update_plane(
-                    cur, region, p_min, b_min, l_min, new_fields
-                )
-
-        _neighbor_sweep(cur, big, little)
-        for name, plane in cur.items():
-            getattr(tables, name)[j] = plane
-
-    return tables
-
-
-def _extract(tables: _Tables, profile: ChainProfile, big: int, little: int) -> Solution:
-    """Paper's ``ExtractSolution`` (Algo. 11) on the array tables."""
-    end = profile.n - 1
-    r_b, r_l = big, little
-    stages: list[Stage] = []
-
-    while end >= 0:
-        j = end + 1
-        if not math.isfinite(tables.period[j, r_b, r_l]):
-            return Solution.empty()
-        start = int(tables.start[j, r_b, r_l])
-        used_b = int(tables.acc_b[j, r_b, r_l])
-        used_l = int(tables.acc_l[j, r_b, r_l])
-        p_b = int(tables.prev_b[j, r_b, r_l])
-        p_l = int(tables.prev_l[j, r_b, r_l])
-        if start > 0:
-            used_b -= int(tables.acc_b[start, p_b, p_l])
-            used_l -= int(tables.acc_l[start, p_b, p_l])
-        vtype = CoreType(int(tables.vtype[j, r_b, r_l]))
-        cores = used_b if vtype is CoreType.BIG else used_l
-        stages.append(Stage(start, end, cores, vtype))
-        end = start - 1
-        r_b, r_l = p_b, p_l
-
-    stages.reverse()
-    return Solution(stages)
 
 
 def herad_solution(
@@ -364,28 +49,11 @@ def herad_solution(
             pipelines).
 
     Raises:
-        InvalidPlatformError: for an empty budget.
+        InvalidPlatformError: for an empty or non-two-type budget, a chain
+            profiled without little-core weights, or an instance too large
+            for the kernel's packed DP key.
     """
-    profile = profile_of(chain)
-    if resources.ktype != 2:
-        raise InvalidPlatformError(
-            "HeRAD's DP is specialized to two core types; use the k-type "
-            f"reference solver for a {resources.ktype}-type budget"
-        )
-    if resources.total <= 0:
-        raise InvalidPlatformError("HeRAD needs at least one core")
-    # Observability hook: DP table volume is HeRAD's cost driver
-    # (O(n * b * l) cells); no-op unless an obs context is ambient.
-    counter_add("herad.calls")
-    counter_add(
-        "herad.dp_cells",
-        (profile.n + 1) * (resources.big + 1) * (resources.little + 1),
-    )
-    tables = _fill_tables(profile, resources.big, resources.little)
-    solution = _extract(tables, profile, resources.big, resources.little)
-    if merge and not solution.is_empty:
-        solution = merge_replicable_stages(solution, profile)
-    return solution
+    return herad(chain, resources, merge=merge).solution
 
 
 def herad(
@@ -399,14 +67,6 @@ def herad(
     Returns a :class:`~repro.core.binary_search.ScheduleOutcome` for
     interface parity with the greedy strategies; HeRAD performs no binary
     search, so ``iterations`` is 0 and ``bounds`` reports the analytic
-    period bracket.
+    period bracket.  Raises as :func:`herad_solution` does.
     """
-    profile = profile_of(chain)
-    solution = herad_solution(profile, resources, merge=merge)
-    return ScheduleOutcome(
-        solution=solution,
-        period=solution.period(profile),
-        iterations=0,
-        bounds=period_bounds(profile, resources),
-        probes=(),
-    )
+    return herad_batch([profile_of(chain)], resources, merge=merge)[0]

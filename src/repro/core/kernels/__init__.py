@@ -5,14 +5,17 @@ ndarray planes (:mod:`.pack`), HeRAD's DP sweeps the whole batch per plane
 (:mod:`.herad_batch`), and 2CATAC runs a lockstep batched bisection over a
 vectorized state DP (:mod:`.search`, :mod:`.twocatac_batch`).
 
-The kernels are specialized to the paper's two-type platform and promise
-**bitwise-identical** outcomes to the pure-python solvers, which remain the
-differential oracle (replayed over the full ``tests/data/k2_oracle.json``
-fixture through this tier).  Entry is through
-:func:`repro.core.registry.solve_batch`, which falls back per instance to
-the python solvers for k != 2 budgets, single-type chain profiles, or any
-:class:`~repro.core.errors.InvalidPlatformError` a kernel raises.
-See DESIGN.md §12 for the packing layout and fallback rules.
+The kernels are specialized to the paper's two-type platform.  The HeRAD
+kernel is the package's only HeRAD DP (:func:`repro.core.herad.herad` is a
+one-row call; :mod:`repro.core.herad_reference` is its oracle); the 2CATAC
+kernels promise **bitwise-identical** outcomes to the pure-python solver,
+which remains their differential oracle.  Both are replayed over the full
+``tests/data/k2_oracle.json`` fixture.  Entry is through
+:func:`repro.core.registry.solve_batch`, which re-solves per instance with
+the strategy's scalar function on any
+:class:`~repro.core.errors.InvalidPlatformError` a kernel raises (k != 2
+budgets, single-type chain profiles, instances outside the packed-key
+lanes).  See DESIGN.md §12 for the packing layout and fallback rules.
 """
 
 from __future__ import annotations

@@ -1,40 +1,43 @@
 """Batch-vectorized HeRAD: one DP sweep schedules a whole work unit.
 
-This is :mod:`repro.core.herad` with a leading batch axis.  The solo solver
-already expresses each prefix length ``j`` as a handful of whole-plane numpy
-operations; at ``n = 20, R = (10, 10)`` that is still ~3 200 small kernel
-calls per chain, and a 200-chain campaign pays that dispatch overhead 200
-times.  Here the same sweep carries *every* chain of the batch at once:
-tables gain a batch axis ``(B, n + 1, b + 1, l + 1)``, candidate tensors
-become ``(B, starts, region)``, and the lexicographic reduction / neighbor
-sweep operate per batch row independently.
+This is the only HeRAD DP in the package: :func:`repro.core.herad.herad`
+calls it with a one-row batch, and the campaign engine hands it whole work
+units through :func:`repro.core.registry.solve_batch`.  Each prefix length
+``j`` is a handful of whole-plane numpy operations; tables carry a leading
+batch axis ``(B, n + 1, b + 1, l + 1)``, candidate tensors are
+``(B, starts, region)``, and the lexicographic reduction / neighbor sweep
+operate per batch row independently, so a 50-chain unit pays the numpy
+dispatch overhead of one chain.
 
-Bitwise equivalence with the solo solver (replayed against the 1260-cell
-``tests/data/k2_oracle.json`` fixture and differentially tested in
+Exactness (replayed against the 1260-cell pre-vectorization
+``tests/data/k2_oracle.json`` fixture, differentially tested against
+:mod:`repro.core.herad_reference` and between batch sizes in
 ``tests/core/test_kernels.py``) rests on these arguments:
 
-* **Packed DP key.**  The solo cell key ``(period, acc_b, acc_l)`` with
-  first-index tie-break becomes ``(period, acc_b << 48 | acc_l << 16 |
-  start)``: the packing is order-isomorphic (each component is non-negative
-  and fits its bit lane — guarded at entry), so one float min plus one
-  integer min reproduce the solo three-stage masked reduction *and* its
-  winner index exactly.  Tables store the combo with the start lane zeroed.
-* **Masked invalid starts.**  For ``u >= 2`` the solo solver enumerates one
-  instance's replicable starts; the batch kernel gathers the batch-*union*
-  of replicable starts and masks the rest of each row to an infinite stage
-  weight.  An infinite-period candidate always carries a positive
-  accumulator while an untouched cell holds ``(inf, 0)``, so the strict
-  lexicographic update can never fire on one — masked candidates are exact
-  no-ops.
+* **Packed DP key.**  ``CompareCells`` (Algo. 10) is equivalent to taking
+  the lexicographic minimum of ``(period, big cores used, little cores
+  used)`` with a first-start tie-break (DESIGN.md §5).  That key becomes
+  ``(period, acc_b << 48 | acc_l << 16 | start)``: the packing is
+  order-isomorphic (each component is non-negative and fits its bit lane —
+  guarded at entry), so one float min plus one integer min give the
+  winner and its start index exactly.  Tables store the combo with the
+  start lane zeroed.
+* **Masked invalid starts.**  Sequential stages gain nothing from extra
+  cores, so ``u >= 2`` candidates only start at replicable positions.  The
+  kernel gathers the batch-*union* of replicable starts and masks the rest
+  of each row to an infinite stage weight.  An infinite-period candidate
+  always carries a positive accumulator while an untouched cell holds
+  ``(inf, 0)``, so the strict lexicographic update can never fire on one —
+  masked candidates are exact no-ops, and a row's result does not depend
+  on the rest of its batch.
 * **Padding.**  Planes ``j > n_i`` of a shorter chain hold finite garbage
   that nothing reads: plane ``j`` consumes only planes ``< j``, and
   extraction for instance ``i`` starts at plane ``n_i``, which was computed
   entirely from real data.
 
-The batch neighbor sweep always uses the doubling-scan formulation (the solo
-code switches to a scalar sweep under 30 cells purely for speed); the two
-sweeps computing identical planes is a tested invariant
-(``tests/core/test_herad_sweep.py``).
+The neighbor sweep (Algo. 9, lines 2-3) is a doubling scan; that it equals
+a naive lower-left-quadrant minimum on every budget shape, degenerate ones
+included, is tested in ``tests/core/test_herad_sweep.py``.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ class _BatchTables:
     """The HeRAD solution matrices for a whole batch.
 
     Axis order is ``(instance, plane, big budget, little budget)``.  The
-    ``combo`` plane packs both accumulators (start lane zero); the solo
-    ``acc_b``/``acc_l`` planes are its two upper lanes.
+    ``combo`` plane packs both accumulators, the big and little cores
+    used, in its two upper lanes (start lane zero).
     """
 
     __slots__ = ("period", "combo", "prev_b", "prev_l", "vtype", "start")
@@ -100,7 +103,7 @@ def _update_plane(
 
     ``new_key`` still carries the winner's start in its low lane; the combo
     stored on update has it stripped, and the start is delivered through its
-    own plane — exactly the solo field layout.
+    own plane.
     """
     sel = (slice(None), *region)
     cur_p = cur["period"][sel]
@@ -130,11 +133,17 @@ def _update_plane(
 def _neighbor_sweep(
     cur: dict[str, np.ndarray], big: int, little: int
 ) -> None:
-    """The doubling-scan neighbor sweep of Algo. 9 over every batch row.
+    """Propagate solutions needing one core fewer (Algo. 9, lines 2-3).
 
-    Identical to :func:`repro.core.herad._neighbor_sweep` (whose docstring
-    proves the prefix-minimum composition), with the batch axis riding along
-    and the accumulators already packed.
+    Each cell must end up holding the lexicographic key minimum over its
+    lower-left quadrant (budgets ``(b', l') <= (b, l)``), with the winning
+    cell's companion fields carried along.  Two prefix-minimum passes, one
+    per budget axis, each a Hillis-Steele doubling scan (``O(log)``
+    whole-plane steps), track the flat *source* index of each running
+    minimum; the winners' fields are gathered once at the end.  Prefix
+    minima compose across the two axes because the lexicographic minimum is
+    associative and commutative, and strict comparisons keep the incumbent
+    cell on ties.  The batch axis rides along.
     """
     kp = cur["period"].copy()
     kc = cur["combo"].copy()
@@ -157,7 +166,7 @@ def _neighbor_sweep(
                 prev_s = src[:, :-step].copy()
                 views = (kp[:, step:], kc[:, step:], src[:, step:])
             cur_p, cur_c, cur_s = views
-            # Same strict (period, combo) comparison as the solo sweep.
+            # Strict (period, combo) comparison: ties keep the incumbent.
             better = (prev_p < cur_p) | (
                 (prev_p == cur_p)  # lint: ignore[float-equality]
                 & (prev_c < cur_c)
@@ -196,9 +205,9 @@ def _fill_tables(pack: ChainPack, big: int, little: int) -> _BatchTables:
         "start": np.empty(shape, dtype=np.int32),
     }
 
-    # Per-(core type, u) geometry, independent of the prefix length ``j``
-    # (mirrors the solo precomputation).  ``add`` is the packed accumulator
-    # increment of a ``u``-core stage of that type.
+    # Per-(core type, u) geometry, independent of the prefix length ``j``.
+    # ``add`` is the packed accumulator increment of a ``u``-core stage of
+    # that type; the hot loop allocates nothing but the candidate tensors.
     group: dict[tuple[CoreType, int], tuple] = {}
     for u in range(1, big + 1):
         pred = (slice(0, big + 1 - u), slice(None))
@@ -280,8 +289,7 @@ def _fill_tables(pack: ChainPack, big: int, little: int) -> _BatchTables:
                 # Exact DP tie-break: p_min comes from the very array it is
                 # compared to, so equal values are bitwise-identical by
                 # construction; the packed-key min over the period-tied
-                # candidates then resolves ties by (acc_b, acc_l, start) —
-                # the solo order.
+                # candidates then resolves ties by (acc_b, acc_l, start).
                 mask = cand_p == p_min[:, None]  # lint: ignore[float-equality]
                 key_min = np.min(
                     cand_k, axis=1, where=mask, initial=_KEY_SENTINEL
@@ -302,7 +310,7 @@ def _extract(
     big: int,
     little: int,
 ) -> Solution:
-    """Solo ``ExtractSolution`` (Algo. 11) on one batch row."""
+    """Paper's ``ExtractSolution`` (Algo. 11) on one batch row."""
     end = profile.n - 1
     r_b, r_l = big, little
     stages: list[Stage] = []
@@ -332,18 +340,30 @@ def _extract(
 
 
 def herad_batch(
-    profiles: Sequence[ChainProfile], resources: Resources
+    profiles: Sequence[ChainProfile],
+    resources: Resources,
+    *,
+    merge: bool = True,
 ) -> list[ScheduleOutcome]:
     """Solve a batch of chains optimally with the vectorized HeRAD DP.
 
     Returns one :class:`~repro.core.binary_search.ScheduleOutcome` per
-    profile, bitwise identical to ``herad(profile, resources)``.
+    profile, in batch order.  A row's outcome does not depend on the rest of
+    the batch, so it is bitwise identical to ``herad(profile, resources)``,
+    which is this kernel on a one-row batch.
+
+    Args:
+        profiles: the profiled chains (any lengths; padded internally).
+        resources: the two-type budget ``R = (b, l)`` shared by the batch.
+        merge: apply the paper's extra step merging consecutive replicable
+            stages mapped to the same core type (period-neutral).
 
     Raises:
-        InvalidPlatformError: on a non-two-type or empty budget, or one too
-            large for the packed-key bit lanes (callers such as
-            :func:`repro.core.registry.solve_batch` fall back to the
-            per-instance python solver, which handles all of these).
+        InvalidPlatformError: on a non-two-type or empty budget, a chain
+            profiled without little-core weights, or an instance too large
+            for the packed-key bit lanes.  No other HeRAD DP exists to fall
+            back to: :func:`repro.core.registry.solve_batch` re-solves such a
+            batch per instance only to raise the per-instance error.
     """
     if resources.ktype != 2:
         raise InvalidPlatformError(
@@ -356,9 +376,8 @@ def herad_batch(
     big, little = resources.big, resources.little
     if big >= _MAX_BUDGET or little >= _MAX_BUDGET or pack.n >= _MAX_TASKS:
         raise InvalidPlatformError(
-            "instance exceeds the batch kernel's packed-key lanes "
-            f"(budget < {_MAX_BUDGET} per type, chains < {_MAX_TASKS} tasks); "
-            "use the per-instance python solver"
+            "instance exceeds HeRAD's packed-key lanes "
+            f"(budget < {_MAX_BUDGET} per type, chains < {_MAX_TASKS} tasks)"
         )
     for profile in pack.profiles:
         counter_add("herad.calls")
@@ -371,7 +390,7 @@ def herad_batch(
     outcomes: list[ScheduleOutcome] = []
     for row, profile in enumerate(pack.profiles):
         solution = _extract(tables, row, profile, big, little)
-        if not solution.is_empty:
+        if merge and not solution.is_empty:
             solution = merge_replicable_stages(solution, profile)
         outcomes.append(
             ScheduleOutcome(

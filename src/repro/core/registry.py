@@ -276,15 +276,19 @@ def solve_batch(
     solve the batch in :data:`_BATCH_SPAN`-sized sub-batches through their
     numpy kernel; everything else maps the scalar python implementation
     over the batch.  Outcomes are returned in batch order and are **bitwise
-    identical** to ``[func(c, resources) for c in chains]`` — the
-    pure-python solvers remain the differential oracle.
+    identical** to ``[func(c, resources) for c in chains]``.  For 2CATAC
+    that map is the pure-python solver, the differential oracle; HeRAD's
+    ``func`` is its kernel on a one-row batch, so for HeRAD the identity says
+    a row's outcome does not depend on its batch (``herad_reference`` is
+    HeRAD's oracle).
 
     Fallback rules (DESIGN.md §12): when a kernel rejects a sub-batch with
     :class:`~repro.core.errors.InvalidPlatformError` — a ``k != 2`` budget,
     a chain profiled without little-core weights, or an instance outside the
     packed-key bit lanes — that sub-batch is re-solved per instance with the
-    scalar python strategy, which either handles the case or raises exactly
-    the error the solo campaign would.
+    strategy's ``func``, which either handles the case (2CATAC) or raises
+    exactly the error the solo campaign would (HeRAD, whose ``func`` is the
+    same kernel).
     """
     info = get_info(strategy)
     profiles = [

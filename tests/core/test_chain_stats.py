@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chain_stats import ChainProfile, profile_of
-from repro.core.errors import InvalidChainError
+from repro.core.errors import InvalidChainError, InvalidParameterError
 from repro.core.task import TaskChain
 from repro.core.types import INFINITY, CoreType
 
@@ -157,16 +157,37 @@ class TestMaxPacking:
         assert p.max_packing(start, cores, CoreType.BIG, period) == best
 
 
+class TestTypedErrors:
+    """Bad arguments to the interval queries raise typed errors."""
+
+    @pytest.mark.parametrize("period", [0.0, -3.0, math.inf, math.nan])
+    def test_max_packing_rejects_bad_period(self, profile, period):
+        with pytest.raises(InvalidParameterError):
+            profile.max_packing(0, 1, CoreType.BIG, period)
+        with pytest.raises(InvalidParameterError):
+            profile.max_packing(0, 0, CoreType.BIG, period)
+
+    def test_required_cores_rejects_nan_period(self, profile):
+        with pytest.raises(InvalidParameterError):
+            profile.required_cores(0, 1, CoreType.BIG, math.nan)
+
+    @pytest.mark.parametrize("core_type", [2, 5, -1])
+    def test_out_of_range_core_type(self, profile, core_type):
+        with pytest.raises(InvalidParameterError):
+            profile.interval_weight(0, 2, core_type)
+        with pytest.raises(InvalidParameterError):
+            profile.stage_weight(0, 2, 1, core_type)
+        with pytest.raises(InvalidParameterError):
+            profile.required_cores(0, 2, core_type, 10.0)
+        with pytest.raises(InvalidParameterError):
+            profile.max_packing(0, 1, core_type, 10.0)
+
+    def test_interval_still_checked_first(self, profile):
+        with pytest.raises(InvalidChainError):
+            profile.interval_weight(0, 4, 5)
+
+
 class TestVectorHelpers:
-    def test_interval_weights_vector(self, profile):
-        vec = profile.interval_weights_vector(3, CoreType.BIG)
-        assert vec.tolist() == [24, 20, 10, 7]
-
-    def test_replicable_to(self, profile):
-        assert profile.replicable_to(1).tolist() == [True, True]
-        assert profile.replicable_to(2).tolist() == [False, False, False]
-        assert profile.replicable_to(3).tolist() == [False, False, False, True]
-
     def test_weights_view(self, profile):
         np.testing.assert_array_equal(
             profile.weights(CoreType.BIG), [4, 10, 3, 7]

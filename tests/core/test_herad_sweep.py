@@ -1,13 +1,12 @@
-"""Equivalence of HeRAD's scalar and vectorized neighbor sweeps.
+"""HeRAD's neighbor sweep against a naive lower-left-quadrant minimum.
 
-:func:`repro.core.herad._neighbor_sweep` switches between a scalar double
-loop (tiny planes) and a Hillis-Steele doubling scan purely on plane size —
-a performance decision that must never be observable.  The batch kernel
-(:mod:`repro.core.kernels.herad_batch`) leans on the same invariant from the
-other side: it *always* runs the doubling scan, including on the degenerate
-budgets (``big=0``, ``little=0``, one core total) where the solo solver
-would always take the scalar path.  These tests sweep identical planes
-through all three implementations and require bitwise-equal results.
+The neighbor sweep (Algo. 9, lines 2-3) must leave every cell ``(b, l)``
+holding the lexicographic ``(period, acc_b, acc_l)`` key minimum over all
+budgets ``(b', l') <= (b, l)``, with the winning cell's companion fields.
+:mod:`repro.core.kernels.herad_batch` computes it with two doubling scans
+over a whole batch; these tests compare that against the definition written
+out below, on the degenerate budgets (``big=0``, ``little=0``, one core
+total) as well as paper-sized planes, and require bitwise-equal results.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ import pytest
 
 from repro.core.types import CoreType
 
-# The package re-exports the ``herad`` *function* under the submodule's
-# name, so attribute-style module access would resolve to the function.
-herad_mod = importlib.import_module("repro.core.herad")
+# ``repro.core.kernels`` re-exports the ``herad_batch`` *function* under the
+# submodule's name, so attribute-style module access would resolve to it.
 herad_batch_mod = importlib.import_module("repro.core.kernels.herad_batch")
 
-#: Degenerate budgets first (the satellite obligation), then shapes around
-#: the scalar/vector cutoff and a paper-sized plane.
+#: Degenerate budgets first, then small and paper-sized planes.
 _BUDGETS = (
     (0, 5),
     (5, 0),
@@ -38,7 +35,7 @@ _BUDGETS = (
     (10, 10),
 )
 
-_FIELD_NAMES = ("period", "acc_b", "acc_l", "prev_b", "prev_l", "vtype", "start")
+_PAYLOAD = ("prev_b", "prev_l", "vtype", "start")
 
 
 def _random_plane(rng, big: int, little: int) -> dict[str, np.ndarray]:
@@ -46,11 +43,10 @@ def _random_plane(rng, big: int, little: int) -> dict[str, np.ndarray]:
 
     Companion fields (``prev_*`` / ``vtype`` / ``start``) are *derived* from
     the ``(period, acc_b, acc_l)`` key rather than drawn independently: when
-    two cells carry bitwise-equal keys, either may win a tie, and the sweeps
-    only promise identical results when equal keys imply equal payloads —
+    two cells carry bitwise-equal keys, either may win a tie, and the sweep
+    only promises a unique result when equal keys imply equal payloads —
     which is exactly what real DP planes guarantee (a key determines the
-    winning candidate).  Independent random fields would test a stronger
-    property neither implementation claims.
+    winning candidate).
     """
     shape = (big + 1, little + 1)
     # Few distinct period values -> plenty of ties for the key comparison;
@@ -76,70 +72,97 @@ def _random_plane(rng, big: int, little: int) -> dict[str, np.ndarray]:
     }
 
 
-def _copy(plane: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: field.copy() for name, field in plane.items()}
+def _naive_sweep(
+    plane: dict[str, np.ndarray], big: int, little: int
+) -> dict[str, np.ndarray]:
+    """The definition: each cell takes its lower-left quadrant's key minimum."""
+    out = {name: field.copy() for name, field in plane.items()}
+    for b in range(big + 1):
+        for l in range(little + 1):
+            _, wb, wl = min(
+                (
+                    (
+                        float(plane["period"][bb, ll]),
+                        int(plane["acc_b"][bb, ll]),
+                        int(plane["acc_l"][bb, ll]),
+                    ),
+                    bb,
+                    ll,
+                )
+                for bb in range(b + 1)
+                for ll in range(l + 1)
+            )
+            for name, field in plane.items():
+                out[name][b, l] = field[wb, wl]
+    return out
 
 
-def _planes_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
-    return all(np.array_equal(a[name], b[name]) for name in _FIELD_NAMES)
+def _batch_sweep(
+    planes: list[dict[str, np.ndarray]], big: int, little: int
+) -> list[dict[str, np.ndarray]]:
+    """Run the kernel's sweep on ``planes`` stacked into one batch.
+
+    The batch layout packs both accumulators into one ``combo`` key; the
+    result is unpacked back into the plain per-row field layout.
+    """
+    shift_b = herad_batch_mod._ACC_B_SHIFT
+    shift_l = herad_batch_mod._ACC_L_SHIFT
+    batched = {
+        "period": np.stack([p["period"] for p in planes]),
+        "combo": np.stack(
+            [
+                (p["acc_b"].astype(np.int64) << shift_b)
+                | (p["acc_l"].astype(np.int64) << shift_l)
+                for p in planes
+            ]
+        ),
+        **{name: np.stack([p[name] for p in planes]) for name in _PAYLOAD},
+    }
+    herad_batch_mod._neighbor_sweep(batched, big, little)
+
+    lane_l = int(herad_batch_mod._ACC_L_MASK)
+    rows = []
+    for row in range(len(planes)):
+        combo = batched["combo"][row]
+        rows.append(
+            {
+                "period": batched["period"][row],
+                "acc_b": (combo >> shift_b).astype(np.int32),
+                "acc_l": ((combo >> shift_l) & lane_l).astype(np.int32),
+                **{name: batched[name][row] for name in _PAYLOAD},
+            }
+        )
+    return rows
+
+
+def _assert_planes_equal(got, want, context: str) -> None:
+    for name, field in want.items():
+        assert np.array_equal(got[name], field), f"{context}: {name} diverged"
 
 
 @pytest.mark.parametrize("budget", _BUDGETS, ids=str)
-def test_scalar_and_vectorized_sweeps_identical(budget, monkeypatch):
+def test_scalar_and_vectorized_sweeps_identical(budget):
+    """A one-row batch sweep equals the naive quadrant minimum."""
     big, little = budget
     rng = np.random.default_rng(big * 100 + little)
     for trial in range(20):
         plane = _random_plane(rng, big, little)
-
-        scalar = _copy(plane)
-        herad_mod._neighbor_sweep_small(scalar, big, little)
-
-        # Force the doubling scan even on planes under the scalar cutoff.
-        vectorized = _copy(plane)
-        monkeypatch.setattr(herad_mod, "_SWEEP_SCALAR_CUTOFF", -1)
-        herad_mod._neighbor_sweep(vectorized, big, little)
-
-        assert _planes_equal(scalar, vectorized), (
-            f"budget {budget}, trial {trial}: scalar and vectorized sweeps "
-            "diverged"
+        (got,) = _batch_sweep([plane], big, little)
+        _assert_planes_equal(
+            got, _naive_sweep(plane, big, little), f"budget {budget}, trial {trial}"
         )
 
 
 @pytest.mark.parametrize("budget", _BUDGETS, ids=str)
 def test_batch_sweep_matches_scalar_sweep(budget):
-    """The batch kernel's sweep on a 1-row batch equals the scalar sweep."""
+    """Rows of a multi-row batch are swept independently of each other."""
     big, little = budget
     rng = np.random.default_rng(1000 + big * 100 + little)
-    for trial in range(10):
-        plane = _random_plane(rng, big, little)
-
-        scalar = _copy(plane)
-        herad_mod._neighbor_sweep_small(scalar, big, little)
-
-        # Pack into the batch layout: leading batch axis, combo/start key.
-        shift_b = herad_batch_mod._ACC_B_SHIFT
-        shift_l = herad_batch_mod._ACC_L_SHIFT
-        batched = {
-            "period": plane["period"][None].copy(),
-            "combo": (
-                (plane["acc_b"].astype(np.int64) << shift_b)
-                | (plane["acc_l"].astype(np.int64) << shift_l)
-            )[None],
-            "prev_b": plane["prev_b"][None].copy(),
-            "prev_l": plane["prev_l"][None].copy(),
-            "vtype": plane["vtype"][None].copy(),
-            "start": plane["start"][None].copy(),
-        }
-        herad_batch_mod._neighbor_sweep(batched, big, little)
-
-        got_acc_b = (batched["combo"][0] >> shift_b).astype(np.int32)
-        got_acc_l = (
-            (batched["combo"][0] >> shift_l) & int(herad_batch_mod._ACC_L_MASK)
-        ).astype(np.int32)
-        assert np.array_equal(batched["period"][0], scalar["period"])
-        assert np.array_equal(got_acc_b, scalar["acc_b"])
-        assert np.array_equal(got_acc_l, scalar["acc_l"])
-        for name in ("prev_b", "prev_l", "vtype", "start"):
-            assert np.array_equal(batched[name][0], scalar[name]), (
-                f"budget {budget}, trial {trial}: field {name} diverged"
+    for trial in range(5):
+        planes = [_random_plane(rng, big, little) for _ in range(4)]
+        for row, got in enumerate(_batch_sweep(planes, big, little)):
+            _assert_planes_equal(
+                got,
+                _naive_sweep(planes[row], big, little),
+                f"budget {budget}, trial {trial}, row {row}",
             )
