@@ -131,14 +131,14 @@ def main(argv: "list[str] | None" = None) -> int:
     )
 
     # Tier 1: serial, no cache (the pre-engine baseline path).
-    serial_engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+    serial_engine = CampaignEngine(jobs=1, memo=False)
     serial_s, serial_arrays = _time(
         lambda: serial_engine.solve_instances(chains, TABLE1_BUDGET, PAPER_ORDER)
     )
     print(f"  serial          {serial_s:8.2f}s")
 
     # Tier 2: process pool, no cache.
-    pool_engine = CampaignEngine(jobs=jobs, backend="process", memo=False)
+    pool_engine = CampaignEngine(jobs=jobs, memo=False)
     parallel_s, parallel_arrays = _time(
         lambda: pool_engine.solve_instances(
             chains, TABLE1_BUDGET, PAPER_ORDER, jobs=jobs
@@ -240,10 +240,10 @@ def main(argv: "list[str] | None" = None) -> int:
         )
     mismatch |= kernel_mismatch
 
-    # Jobs-scaling scenario: the shared-memory process tier (zero-pickle
-    # result planes + cost-adaptive chunking) vs serial, at several worker
-    # counts.  Speedups are same-run ratios; the gate only judges them when
-    # the candidate machine actually has the cores (tolerances carry
+    # Jobs-scaling scenario: the process tier (pickled result rows +
+    # cost-adaptive chunking) vs serial, at several worker counts.
+    # Speedups are same-run ratios; the gate only judges them when the
+    # candidate machine actually has the cores (tolerances carry
     # ``requires_cores``), so a pinned single-core CI runner skips them
     # explicitly instead of passing vacuously.  The engine has one solve
     # path, reported under the ``batch`` key the tolerances name.
@@ -258,7 +258,7 @@ def main(argv: "list[str] | None" = None) -> int:
         jobs_scaling["jobs"] = scaling_levels
         tier: "dict[str, object]" = {"serial_wall_s": round(serial_s, 3)}
         for level in scaling_levels:
-            engine = CampaignEngine(jobs=level, backend="process", memo=False)
+            engine = CampaignEngine(jobs=level, memo=False)
             wall_s, arrays = _time(
                 functools.partial(
                     engine.solve_instances, chains, TABLE1_BUDGET, PAPER_ORDER

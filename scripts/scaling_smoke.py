@@ -1,16 +1,13 @@
 #!/usr/bin/env python
-"""Scaling smoke: shared-memory process tier — parity, leaks, speedup.
+"""Scaling smoke: process tier — parity, speedup.
 
-Three phases, any failure exits non-zero (CI ``scaling-smoke`` job):
+Two phases, any failure exits non-zero (CI ``scaling-smoke`` job):
 
 1. **Bitwise parity** — a Table I-style campaign solved serially and at
    ``--jobs`` must be identical to the bit (that both equal the scalar
    reference map is pinned by the tier-1 suite).  This runs everywhere,
    including pinned single-core runners: parity is hardware-independent.
-2. **Leak check** — every shared-memory plane the campaigns allocated must
-   be unlinked afterwards (attaching to its recorded name must fail), and a
-   fault-injected worker crash mid-campaign must not change that.
-3. **Speedup** — only when the runner reports at least 2 usable cores
+2. **Speedup** — only when the runner reports at least 2 usable cores
    (``os.sched_getaffinity``): the process tier must reach
    ``--min-efficiency`` x jobs x serial throughput.  On fewer cores the
    phase is skipped loudly — a single-core speedup number is scheduler
@@ -26,27 +23,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import time
 
 import numpy as np
 
-from repro.core.chain_stats import ChainProfile
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
-from repro.engine import (
-    CampaignEngine,
-    FaultPlan,
-    FaultSpec,
-    ResilienceConfig,
-    RetryPolicy,
-    resolve_jobs,
-)
-from repro.engine.shm import ResultPlanes
+from repro.engine import CampaignEngine, resolve_jobs
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 BUDGET = Resources(10, 10)
-_FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 def _arrays_match(a, b) -> bool:
@@ -56,41 +42,6 @@ def _arrays_match(a, b) -> bool:
         and np.array_equal(a[n].little_used, b[n].little_used)
         for n in a
     )
-
-
-class _PlaneRecorder:
-    """Wrap ResultPlanes.allocate to record every descriptor handed out."""
-
-    def __init__(self):
-        self.descriptors = []
-        self._original = ResultPlanes.allocate.__func__
-
-    def __enter__(self):
-        recorder = self
-
-        def recording(cls, strategies, chains, ktype):
-            planes = recorder._original(cls, strategies, chains, ktype)
-            if planes is not None:
-                recorder.descriptors.append(planes.descriptor)
-            return planes
-
-        ResultPlanes.allocate = classmethod(recording)
-        return self
-
-    def __exit__(self, *exc):
-        ResultPlanes.allocate = classmethod(self._original)
-        return False
-
-    def leaked(self):
-        alive = []
-        for descriptor in self.descriptors:
-            try:
-                view = descriptor.open()
-            except FileNotFoundError:
-                continue
-            view.close()
-            alive.append(descriptor.periods_name)
-        return alive
 
 
 def main(argv=None) -> int:
@@ -112,61 +63,21 @@ def main(argv=None) -> int:
         f"strategies, jobs={args.jobs}, usable cores={cores}"
     )
 
-    with _PlaneRecorder() as recorder:
-        serial_engine = CampaignEngine(jobs=1, backend="serial", memo=False)
-        start = time.perf_counter()
-        serial = serial_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
-        serial_s = time.perf_counter() - start
+    serial_engine = CampaignEngine(jobs=1, memo=False)
+    start = time.perf_counter()
+    serial = serial_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
+    serial_s = time.perf_counter() - start
 
-        process_engine = CampaignEngine(
-            jobs=args.jobs, backend="process", memo=False
-        )
-        start = time.perf_counter()
-        parallel = process_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
-        parallel_s = time.perf_counter() - start
+    process_engine = CampaignEngine(jobs=args.jobs, memo=False)
+    start = time.perf_counter()
+    parallel = process_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
+    parallel_s = time.perf_counter() - start
 
-        if _arrays_match(serial, parallel):
-            print(f"  parity: serial vs jobs={args.jobs} bitwise identical")
-        else:
-            print("  parity: MISMATCH across tiers", file=sys.stderr)
-            failures += 1
-
-        # Fault-injected worker crash: recovery must not leak a segment.
-        with tempfile.TemporaryDirectory() as state_dir:
-            plan = FaultPlan(
-                specs=(
-                    FaultSpec(
-                        kind="crash",
-                        fingerprint=ChainProfile(chains[3]).fingerprint,
-                        tiers=("process",),
-                        times=1,
-                    ),
-                ),
-                state_dir=state_dir,
-            )
-            crashed = CampaignEngine(
-                jobs=args.jobs, backend="process", memo=False,
-                resilience=ResilienceConfig(retry=_FAST), faults=plan,
-            ).solve_instances(chains, BUDGET, ("fertac",))
-        reference = {"fertac": serial["fertac"]}
-        if _arrays_match(reference, crashed):
-            print("  crash recovery: bitwise identical")
-        else:
-            print("  crash recovery: MISMATCH", file=sys.stderr)
-            failures += 1
-
-    if not recorder.descriptors:
-        print("  leak check: no planes allocated", file=sys.stderr)
-        failures += 1
-    leaked = recorder.leaked()
-    if leaked:
-        print(f"  leak check: segments still linked: {leaked}", file=sys.stderr)
-        failures += 1
+    if _arrays_match(serial, parallel):
+        print(f"  parity: serial vs jobs={args.jobs} bitwise identical")
     else:
-        print(
-            f"  leak check: all {len(recorder.descriptors)} plane "
-            "allocations unlinked"
-        )
+        print("  parity: MISMATCH across tiers", file=sys.stderr)
+        failures += 1
 
     if cores >= 2:
         speedup = serial_s / parallel_s if parallel_s > 0 else 0.0

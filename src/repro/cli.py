@@ -229,8 +229,9 @@ def _experiment_options() -> argparse.ArgumentParser:
             "enable resilient execution with N solve attempts per tier: "
             "transient failures (crashed workers, pickling errors, "
             "timeouts) retry with deterministic backoff, then degrade "
-            "process -> thread -> serial; instances that still fail are "
-            "quarantined (reported on stderr) instead of aborting"
+            "from the process tier to the serial one; instances that "
+            "still fail are quarantined (reported on stderr) instead of "
+            "aborting"
         ),
     )
     parent.add_argument(
@@ -239,7 +240,7 @@ def _experiment_options() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "soft deadline per work unit on pooled tiers; a hung solve is "
+            "soft deadline per work unit on the process tier; a hung solve is "
             "abandoned and retried instead of stalling the campaign "
             "(implies resilient execution)"
         ),

@@ -8,8 +8,8 @@ shared budget — and :func:`solve_unit` resolves it into indexed
 :class:`~repro.engine.memo.InstanceResult` rows.
 
 Everything here is picklable with module-level functions only, so the same
-code path runs in-process (serial / thread tiers) and in worker processes
-(process tier).  Results are keyed by chain index, which makes assembly
+code path runs in-process (serial tier) and in worker processes (process
+tier).  Results are keyed by chain index, which makes assembly
 order-independent: however the executor interleaves chunks, the final arrays
 are bitwise identical.
 """
@@ -34,7 +34,6 @@ from ..obs.context import ObsConfig, ObsPayload, activate, current
 from ..obs.metrics import MetricsLike
 from .faults import FaultPlan
 from .memo import InstanceResult, MemoKey, make_key
-from .shm import PlaneDescriptor
 
 if TYPE_CHECKING:
     from multiprocessing.sharedctypes import Synchronized
@@ -77,33 +76,23 @@ class WorkUnit:
             checker (:mod:`repro.core.certify`) as it is produced.
         faults: deterministic fault plan armed for this chunk (tests and the
             fault-injection smoke; ``None`` in production).
-        tier: the execution tier running this chunk (``serial`` / ``thread``
-            / ``process``) — lets tier-scoped faults target, say, only
-            worker processes so the degradation ladder can be exercised.
+        tier: the execution tier running this chunk (``serial`` /
+            ``process``) — lets tier-scoped faults target, say, only worker
+            processes so the degradation ladder can be exercised.
         obs: observability switches for this chunk (``None`` = fully off).
             When set, the worker builds a local tracer/metrics context,
             records into it, and ships the resulting payload home in its
             :class:`UnitOutcome` — the only channel observability data has
             out of a worker process.
-        worker_memo: consult the process-local worker memo shard
-            (:data:`_WORKER_MEMO`) before solving each cell.  Only honored
-            on the process tier (worker processes die with their pool, so
-            the shard's lifetime is one campaign) and bypassed entirely when
-            certifying or when a fault plan is armed.
         dispatched_at: engine-side :func:`repro.obs.clock.monotonic` stamp
             taken when the unit was chunked for a process pool (``None``
             otherwise).  CLOCK_MONOTONIC is system-wide on Linux, so the
             worker can subtract it from its own clock read on entry to
             measure pool-wait (queueing) time.  Never consulted by the
             result path.
-        planes: descriptor of the engine's shared-memory result planes
-            (:mod:`repro.engine.shm`).  When set, the worker writes its
-            solved cells into the planes and ships *empty* result rows home
-            — the zero-pickle result path.  Always a name descriptor, never
-            a live ``SharedMemory`` handle (lint rule REP203).
         unit_id: the unit's position in the engine's campaign plan; the key
-            the engine harvests plane cells by when the rows come home
-            empty.  ``None`` on units built outside the planner.
+            the engine feeds the unit's measured wall back to its cost model
+            by.  ``None`` on units built outside the planner.
     """
 
     pending: tuple[PendingInstance, ...]
@@ -112,9 +101,7 @@ class WorkUnit:
     faults: "FaultPlan | None" = None
     tier: str = "serial"
     obs: "ObsConfig | None" = None
-    worker_memo: bool = False
     dispatched_at: "float | None" = None
-    planes: "PlaneDescriptor | None" = None
     unit_id: "int | None" = None
 
 
@@ -132,13 +119,11 @@ class UnitOutcome:
     separate paths — the engine assembles arrays from ``rows`` only, which
     is what keeps tracing off the result path.
 
-    When the unit carried a plane descriptor and published its cells to
-    shared memory, ``rows`` comes home *empty* and ``unit_id`` tells the
-    engine which unit's cells to harvest from the planes instead.
     ``seconds`` is the unit's measured solve wall (sanctioned
-    :mod:`repro.obs.clock` read) — the always-on feedback signal of the
-    cost-adaptive planner (:mod:`repro.engine.plan`); it steers future
-    chunking only, never results.
+    :mod:`repro.obs.clock` read) and ``unit_id`` names the unit it measured
+    — the always-on feedback signal of the cost-adaptive planner
+    (:mod:`repro.engine.plan`); it steers future chunking only, never
+    results.
     """
 
     rows: UnitResult
@@ -252,22 +237,12 @@ _WORKER_MEMO: "dict[MemoKey, InstanceResult]" = {}
 
 Keyed exactly like the engine's :class:`~repro.engine.memo.MemoCache`, but
 living (and dying) with the worker process: pools are campaign-scoped, so
-the shard never leaks results across campaigns, and the serial/thread tiers
-never touch it (their process is the engine's).  Values are a pure function
+the shard never leaks results across campaigns, and the serial tier never
+touches it (its process is the engine's).  Values are a pure function
 of the key — the same guarantee the engine memo rests on — so a hit returns
 exactly what a fresh solve would, and the only observable difference is the
 ``worker.<pid>.memo.*`` attribution counters.
 """
-
-
-def _shard_usable(unit: WorkUnit) -> bool:
-    """Worker-shard gate: process tier only, never under certify or faults."""
-    return (
-        unit.worker_memo
-        and unit.tier == "process"
-        and not unit.certify
-        and unit.faults is None
-    )
 
 
 def _replay_shard_hit(name: str, cached: InstanceResult) -> None:
@@ -279,7 +254,7 @@ def _replay_shard_hit(name: str, cached: InstanceResult) -> None:
     campaign, never on where or whether each cell was recomputed.  Cached
     values are a pure function of the key, so replaying them here makes the
     merged counters bitwise-independent of how units landed on workers —
-    which is what lets the shard default on.  ``solve_batch.seconds`` is
+    which is what lets the shard stay always on.  ``solve_batch.seconds`` is
     wall clock (inherently run-dependent) and is deliberately not replayed;
     the hit itself is attributed under ``worker.<pid>.memo.hits``.
     """
@@ -312,7 +287,7 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
     ]
 
 
-def _solve_rows_batch(unit: WorkUnit) -> UnitResult:
+def _solve_rows_batch(unit: WorkUnit, use_shard: bool) -> UnitResult:
     """Resolve a unit through :func:`repro.core.registry.solve_batch`.
 
     The unit's instances are grouped by strategy (first-appearance order,
@@ -331,7 +306,6 @@ def _solve_rows_batch(unit: WorkUnit) -> UnitResult:
     feed the shard for later units on the same worker.
     """
     profiles = [ChainProfile(item.chain) for item in unit.pending]
-    use_shard = _shard_usable(unit)
     by_strategy: dict[str, list[int]] = {}
     results: list[dict[str, InstanceResult]] = [{} for _ in unit.pending]
     claimed: set[MemoKey] = set()
@@ -441,38 +415,20 @@ def _solve_rows_routed(unit: WorkUnit) -> UnitResult:
     if untargeted:
         rows.extend(
             _solve_rows_batch(
-                replace(
-                    unit, pending=tuple(untargeted), faults=None, worker_memo=False
-                )
+                replace(unit, pending=tuple(untargeted), faults=None),
+                use_shard=False,
             )
         )
     return rows
 
 
-def _publish_to_planes(unit: WorkUnit, rows: UnitResult) -> UnitResult:
-    """Write a unit's solved cells into the shared result planes.
-
-    Returns the rows the outcome should *ship* — empty once the cells are
-    safely in shared memory, or the original rows when the unit carries no
-    descriptor or the planes are already gone (e.g. the engine tore them
-    down while this abandoned attempt was still running; the pickled-row
-    fallback keeps the attempt harmless either way).  Writes are pure
-    cell-data stores, so a retried unit republishing over a partial earlier
-    attempt rewrites identical bits.
-    """
-    if unit.planes is None:
-        return rows
-    try:
-        view = unit.planes.open()
-    except (OSError, ValueError):
-        return rows
-    try:
-        for index, results in rows:
-            for name, result in results.items():
-                view.write(index, name, result)
-    finally:
-        view.close()
-    return []
+def _solve_unit_rows(unit: WorkUnit) -> UnitResult:
+    """Route a unit: batched (worker shard on the process tier, never under
+    certify) or, with a fault plan armed, split per instance."""
+    if unit.faults is not None:
+        return _solve_rows_routed(unit)
+    use_shard = unit.tier == "process" and not unit.certify
+    return _solve_rows_batch(unit, use_shard=use_shard)
 
 
 def _attribute_worker_costs(
@@ -484,11 +440,10 @@ def _attribute_worker_costs(
     clocks, so it is inherently tier- and run-dependent: ``worker.*`` is the
     one metric namespace exempt from the cross-tier counter-parity guarantee
     (DESIGN.md §15).  The pickle costs are measured by re-serializing the
-    unit and its *shipped* rows with the same protocol the pool uses — the
-    bytes counted are the bytes the IPC channel actually carried (with the
-    shared-memory planes on, the result payload is an empty list and
-    ``pickle.bytes_out`` collapses to its ~5-byte envelope), the seconds are
-    a faithful re-run of the same work.
+    unit and its result rows with the same protocol the pool uses — the
+    bytes counted are the bytes the IPC channel actually carried (about
+    32 B per solved cell on the way out), the seconds are a faithful re-run
+    of the same work.
     """
     pid = os.getpid()
     prefix = f"worker.{pid}"
@@ -520,41 +475,35 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
     still go through ``solve_batch``.  With
     observability enabled on the unit, a fresh local context is built
     and activated for the duration — worker processes have no access to the
-    engine's tracer, and thread-tier workers deliberately use the same
+    engine's tracer, and the serial tier deliberately uses the same
     ship-a-payload-home protocol so every tier aggregates identically.
 
     Process-tier units with metrics enabled additionally attribute their
     IPC costs (pool wait, pickle bytes/seconds in and out) to the worker's
     pid before the payload ships home — see :func:`_attribute_worker_costs`.
 
-    Units carrying a plane descriptor publish their cells to the engine's
-    shared-memory result planes and ship empty rows (plus their ``unit_id``
-    so the engine knows which cells to harvest); the unit's measured solve
-    wall rides along as planner feedback either way.
+    Results come home as pickled rows, with the unit's ``unit_id`` and
+    measured solve wall riding along as planner feedback.
     """
     arrived = monotonic()
-    solver = _solve_rows_batch if unit.faults is None else _solve_rows_routed
     if unit.obs is None or not unit.obs.enabled:
-        rows = solver(unit)
-        solved_at = monotonic()
-        shipped = _publish_to_planes(unit, rows)
+        rows = _solve_unit_rows(unit)
         return UnitOutcome(
-            rows=shipped,
+            rows=rows,
             unit_id=unit.unit_id,
-            seconds=solved_at - arrived,
+            seconds=monotonic() - arrived,
         )
     context = unit.obs.create_context()
     with activate(context):
         with context.span(
             "unit", "engine", tier=unit.tier, instances=len(unit.pending)
         ):
-            rows = solver(unit)
+            rows = _solve_unit_rows(unit)
         solved_at = monotonic()
-        shipped = _publish_to_planes(unit, rows)
         if unit.tier == "process" and context.metrics.enabled:
-            _attribute_worker_costs(unit, shipped, arrived, context.metrics)
+            _attribute_worker_costs(unit, rows, arrived, context.metrics)
     return UnitOutcome(
-        rows=shipped,
+        rows=rows,
         obs=context.payload(),
         unit_id=unit.unit_id,
         seconds=solved_at - arrived,
@@ -568,16 +517,15 @@ def units_from_groups(
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
     obs: "ObsConfig | None" = None,
-    worker_memo: bool = False,
-    planes: "PlaneDescriptor | None" = None,
 ) -> list[WorkUnit]:
     """Materialize planner groups (:func:`repro.engine.plan.plan_units`)
     into work units.
 
     Each unit's ``unit_id`` is its plan position — the handle the engine
-    harvests shared-memory cells by.  Process-tier units built with metrics
-    enabled carry a ``dispatched_at`` monotonic stamp so workers can
-    attribute the dispatch-to-start (pool queueing) latency of each unit.
+    feeds measured unit walls to its cost model by.  Process-tier units
+    built with metrics enabled carry a ``dispatched_at`` monotonic stamp so
+    workers can attribute the dispatch-to-start (pool queueing) latency of
+    each unit.
     """
     dispatched_at = (
         monotonic()
@@ -592,9 +540,7 @@ def units_from_groups(
             faults=faults,
             tier=tier,
             obs=obs,
-            worker_memo=worker_memo,
             dispatched_at=dispatched_at,
-            planes=planes,
             unit_id=unit_id,
         )
         for unit_id, group in enumerate(groups)

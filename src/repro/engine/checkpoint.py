@@ -12,16 +12,19 @@ bitwise identical to an uninterrupted run (floats round-trip exactly through
 
 Crash safety: a process killed mid-write leaves at most one torn final line.
 :func:`load_journal` is tolerant — any line that does not parse back into a
-complete row is skipped, never fatal — and duplicate keys are fine (last
-wins; a resumed run may legitimately re-append rows the first run already
-journaled).
+complete, *possible* row is skipped and counted, never fatal — and
+duplicate keys are fine (last valid row wins; a resumed run may
+legitimately re-append rows the first run already journaled).  A row is
+possible when it matches its key: one usage entry per core type (at least
+two: a one-type budget still records ``little_used = 0``), each within
+``[0, count]``, no booleans posing as integers, a finite positive period
+(or ``inf`` with nothing used), and a registered strategy.  An impossible
+row therefore never replays as a result, nor overrides a good one.
 
 Format: one JSON object per line.  The row schema is a property of the
-*result*, not of the transport: rows harvested from shared-memory result
-planes (DESIGN.md §16) journal identically to rows pickled back from a
-worker, so journals replay across tiers and engine versions.  Two-type
-rows keep the original layout (journals written before the k-type
-platform layer replay unchanged)::
+*result*, not of the tier that solved it, so journals replay across tiers
+and engine versions.  Two-type rows keep the original layout (journals
+written before the k-type platform layer replay unchanged)::
 
     {"fp": "3f9a...", "big": 10, "little": 10, "strategy": "fertac",
      "period": 12.375, "big_used": 3, "little_used": 2}
@@ -40,10 +43,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from pathlib import Path
 from typing import IO
 
+from ..core.registry import STRATEGIES
+from ..obs.context import current
 from .memo import InstanceResult, MemoCache, MemoKey
 
 __all__ = ["CheckpointJournal", "load_journal"]
@@ -78,15 +84,30 @@ def _encode(key: MemoKey, result: InstanceResult) -> str:
 
 
 def _int_list(value: object) -> "list[int] | None":
+    """``value`` as a list of JSON integers, or ``None`` (bools excluded)."""
     if not isinstance(value, list) or not all(
-        isinstance(item, int) for item in value
+        isinstance(item, int) and not isinstance(item, bool) for item in value
     ):
         return None
     return value
 
 
+def _possible(counts: "list[int]", used: "list[int]", period: float) -> bool:
+    """Whether a usage vector and period can be a result on ``counts``."""
+    if not counts:
+        return False
+    budget = counts + [0] * (2 - len(counts))  # absent types have 0 cores
+    if len(used) != len(budget):
+        return False
+    if not all(0 <= u <= c for u, c in zip(used, budget)):
+        return False
+    if period == math.inf:
+        return not any(used)  # infeasible: nothing scheduled
+    return math.isfinite(period) and period > 0
+
+
 def _decode(line: str) -> "tuple[MemoKey, InstanceResult] | None":
-    """Parse one journal line; ``None`` for torn or foreign lines."""
+    """Parse one journal line; ``None`` for torn, foreign or impossible rows."""
     try:
         row = json.loads(line)
     except ValueError:
@@ -99,57 +120,56 @@ def _decode(line: str) -> "tuple[MemoKey, InstanceResult] | None":
     if not (
         isinstance(fingerprint, str)
         and isinstance(strategy, str)
+        and strategy in STRATEGIES
         and isinstance(period, (int, float))
+        and not isinstance(period, bool)
     ):
         return None
     if "counts" in row:  # k-type layout
         counts = _int_list(row.get("counts"))
         used = _int_list(row.get("used"))
-        if counts is None or used is None or len(used) < 2:
-            return None
-        key: MemoKey = (fingerprint, tuple(counts), strategy)
-        return key, InstanceResult(
-            period=float(period),
-            big_used=used[0],
-            little_used=used[1],
-            extra_used=tuple(used[2:]),
-        )
-    big = row.get("big")
-    little = row.get("little")
-    big_used = row.get("big_used")
-    little_used = row.get("little_used")
-    if not (
-        isinstance(big, int)
-        and isinstance(little, int)
-        and isinstance(big_used, int)
-        and isinstance(little_used, int)
-    ):
+    else:
+        counts = _int_list([row.get("big"), row.get("little")])
+        used = _int_list([row.get("big_used"), row.get("little_used")])
+    if counts is None or used is None or not _possible(counts, used, period):
         return None
-    key = (fingerprint, (big, little), strategy)
+    key: MemoKey = (fingerprint, tuple(counts), strategy)
     return key, InstanceResult(
-        period=float(period), big_used=big_used, little_used=little_used
+        period=float(period),
+        big_used=used[0],
+        little_used=used[1],
+        extra_used=tuple(used[2:]),
     )
+
+
+def _read(path: "str | Path") -> "tuple[dict[MemoKey, InstanceResult], int]":
+    """Decode a journal file: ``(rows, rejected non-blank lines)``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return {}, 0
+    rows: dict[MemoKey, InstanceResult] = {}
+    rejected = 0
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        decoded = _decode(line)
+        if decoded is None:
+            rejected += 1
+        else:
+            rows[decoded[0]] = decoded[1]
+    return rows, rejected
 
 
 def load_journal(path: "str | Path") -> "dict[MemoKey, InstanceResult]":
     """Replay a journal file into a key → result mapping.
 
     Missing files yield an empty mapping (a fresh ``--resume`` target);
-    unparseable lines (a torn tail after a crash, stray garbage) are skipped.
+    lines that do not decode into a possible row (a torn tail after a
+    crash, stray garbage, an impossible result) are skipped.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return {}
-    rows: dict[MemoKey, InstanceResult] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        decoded = _decode(line)
-        if decoded is not None:
-            rows[decoded[0]] = decoded[1]
-    return rows
+    return _read(path)[0]
 
 
 class CheckpointJournal:
@@ -172,10 +192,22 @@ class CheckpointJournal:
         return load_journal(self.path)
 
     def replay_into(self, memo: MemoCache) -> int:
-        """Load the journal into a memo cache; returns rows replayed."""
-        replayed = memo.warm(self.load())
+        """Load the journal into a memo cache; returns rows replayed.
+
+        Skipped lines are counted under the ambient ``journal.rejected``
+        metric (the engine's, during a campaign) and logged.
+        """
+        rows, rejected = _read(self.path)
+        replayed = memo.warm(rows)
         if replayed:
             _log.debug("replayed %d journaled row(s) from %s", replayed, self.path)
+        if rejected:
+            current().metrics.add("journal.rejected", rejected)
+            _log.warning(
+                "skipped %d torn, foreign or impossible journal line(s) in %s",
+                rejected,
+                self.path,
+            )
         return replayed
 
     def replay_into_once(self, memo: MemoCache) -> int:

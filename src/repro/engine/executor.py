@@ -3,19 +3,17 @@
 The paper's evaluation protocol is embarrassingly parallel — every
 ``(chain, budget, strategy)`` instance is independent — yet the original
 driver solved them in one Python loop.  :class:`CampaignEngine` fans the
-instances out over an execution *backend*:
+instances out over one of two execution *tiers*, chosen by ``jobs`` alone:
 
-* ``serial`` — in-process loop (also the ``jobs=1`` fast path: zero
-  executor overhead);
-* ``thread`` — ``ThreadPoolExecutor``; useful when solves release the GIL
-  or for IO-adjacent workloads, cheap to spin up;
-* ``process`` — ``ProcessPoolExecutor`` with chunked work units; the tier
-  that actually scales CPU-bound pure-Python solves across cores.
+* ``serial`` (``jobs=1``) — in-process loop with zero executor overhead;
+* ``process`` (``jobs>1``) — a :class:`~repro.engine.batch.SpreadProcessPool`
+  fed cost-planned work units; the tier that scales CPU-bound solves
+  across cores.  Results come home as pickled rows (about 32 B per cell).
 
-Backends receive :class:`~repro.engine.batch.WorkUnit` chunks and return
+Both tiers run :class:`~repro.engine.batch.WorkUnit` chunks and return
 index-keyed rows, so assembly is order-independent and the engine's output
-is **bitwise identical for every backend and every job count** — a
-regression-tested guarantee (``tests/engine/test_engine.py``).
+is **bitwise identical for every job count** — a regression-tested
+guarantee (``tests/engine/test_engine.py``).
 
 A :class:`~repro.engine.memo.MemoCache` sits in front of the fan-out:
 instances whose ``(chain fingerprint, budget, strategy)`` key was already
@@ -28,8 +26,8 @@ Two optional layers harden long campaigns (DESIGN.md §9):
 
 * **Resilience** (``resilience=``): transient failures — broken process
   pools, pickling/IPC errors, soft-deadline timeouts, injected faults — are
-  retried with deterministic backoff, degraded down the
-  process → thread → serial ladder, and instances that still fail are
+  retried with deterministic backoff, degraded from the process tier to
+  the serial one, and instances that still fail are
   *quarantined* as :class:`~repro.engine.resilience.FailureRecord` rows
   (their array cells keep NaN/-1 sentinels) instead of aborting the run.
 * **Checkpointing** (``journal=``): every solved instance is appended to a
@@ -41,14 +39,12 @@ Two optional layers harden long campaigns (DESIGN.md §9):
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ..core.chain_stats import ChainProfile, profile_of
+from ..core.chain_stats import ChainProfile
 from ..core.errors import InvalidParameterError
 from ..core.registry import batch_span, get_info
 from ..core.task import TaskChain
@@ -73,20 +69,14 @@ from .resilience import (
     ResilienceReport,
     execute_with_resilience,
 )
-from .shm import ResultPlanes
 
 __all__ = [
-    "BACKENDS",
     "resolve_jobs",
     "StrategyArrays",
     "CampaignEngine",
     "default_engine",
     "reset_default_engine",
 ]
-
-#: Recognized backend names (``auto`` picks serial for 1 job, else process).
-BACKENDS: tuple[str, ...] = ("auto", "serial", "thread", "process")
-
 
 def resolve_jobs(jobs: int | None) -> int:
     """Normalize a ``--jobs`` value: ``None`` means all usable cores.
@@ -112,36 +102,20 @@ class StrategyArrays(NamedTuple):
     little_used: np.ndarray
 
 
-def _pool_factory(backend: str, jobs: int) -> "type[Executor] | None":
-    """Map a backend name + job count to an executor class (None = serial)."""
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; available: {BACKENDS}"
-        )
-    if jobs <= 1 or backend == "serial":
-        return None
-    if backend == "thread":
-        return ThreadPoolExecutor
-    return SpreadProcessPool  # "process" and "auto" with jobs > 1
-
-
 class CampaignEngine:
     """Executes campaigns of scheduling instances with fan-out + memoization.
 
     Args:
         jobs: default worker count (``None``: every usable core, see
-            :func:`resolve_jobs`).  Overridable per call.
-        backend: one of :data:`BACKENDS`.
+            :func:`resolve_jobs`).  Overridable per call.  ``1`` runs the
+            serial tier, anything larger the process tier.
         memo: a shared :class:`MemoCache`, ``True`` for a private cache, or
             ``False``/``None`` to disable memoization.
-        chunk_size: instances per work unit, overriding the cost-adaptive
-            planner (:func:`~repro.engine.plan.plan_units`), which otherwise
-            sizes units by ``unit_wall``.
         resilience: a :class:`~repro.engine.resilience.ResilienceConfig`
             (or ``True`` for the defaults) enabling retries, soft deadlines,
-            backend degradation, and quarantine.  ``None``/``False`` keeps
-            the lean fail-fast path, where any solver exception aborts the
-            campaign.
+            process → serial degradation, and quarantine.
+            ``None``/``False`` keeps the lean fail-fast path, where any
+            solver exception aborts the campaign.
         journal: a :class:`~repro.engine.checkpoint.CheckpointJournal` (or a
             path) recording every solved instance; an existing journal is
             replayed through the memo cache before solving, which is how
@@ -156,62 +130,34 @@ class CampaignEngine:
             zero-overhead no-op implementation.  Spans and counters are
             recorded *about* the campaign, never consulted by it — results
             are bitwise identical with observability on or off (tested).
-        worker_memo: arm the process-local worker memo shard
-            (:data:`repro.engine.batch._WORKER_MEMO`): process-tier workers
-            skip cells whose ``(fingerprint, budget, strategy)`` key they
-            already solved this campaign, reporting shard traffic under the
-            ``worker.<pid>.memo.*`` counters.  Results are bitwise identical
-            (shard values are a pure function of the key), and shard hits
-            replay their deterministic ``solve.count`` /
-            ``solve.period.<strategy>`` observations exactly, so the merged
-            ``solve.*`` counters keep the cross-tier parity guarantee —
-            which is why the shard now defaults **on**.
-        shared_results: allocate the campaign result arrays in
-            :mod:`multiprocessing.shared_memory` for process-tier runs
-            (:mod:`repro.engine.shm`): workers write solved cells in place
-            and ship zero result bytes home.  Falls back to pickled rows
-            automatically when shared memory is unavailable; results are
-            bitwise identical either way.
         unit_wall: target estimated solve seconds per work unit for the
             cost-adaptive planner (:mod:`repro.engine.plan`; default
-            :data:`~repro.engine.plan.DEFAULT_UNIT_WALL_S`).  An explicit
-            ``chunk_size`` overrides the planner entirely.
+            :data:`~repro.engine.plan.DEFAULT_UNIT_WALL_S`).
+
+    Process-tier workers always consult a process-local memo shard
+    (:data:`repro.engine.batch._WORKER_MEMO`) and skip cells whose
+    ``(fingerprint, budget, strategy)`` key they already solved this
+    campaign; shard hits replay their deterministic ``solve.*``
+    observations, so results and merged counters are unchanged by it.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        backend: str = "auto",
         memo: "MemoCache | bool | None" = True,
-        chunk_size: int | None = None,
         resilience: "ResilienceConfig | bool | None" = None,
         journal: "CheckpointJournal | str | Path | None" = None,
         faults: "FaultPlan | None" = None,
         obs: "Observability | ObsConfig | bool | None" = None,
-        worker_memo: bool = True,
-        shared_results: bool = True,
         unit_wall: "float | None" = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown backend {backend!r}; available: {BACKENDS}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise InvalidParameterError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
         if unit_wall is not None and unit_wall <= 0:
             raise InvalidParameterError(
                 f"unit_wall must be > 0 seconds, got {unit_wall}"
             )
         self.jobs = resolve_jobs(jobs)
-        self.backend = backend
-        self.chunk_size = chunk_size
-        self.worker_memo = worker_memo
-        self.shared_results = shared_results
         self.unit_wall = unit_wall if unit_wall is not None else DEFAULT_UNIT_WALL_S
         self._cost_model = AdaptiveCostModel()
-        self._active_planes: "ResultPlanes | None" = None
         if memo is True:
             self.memo: MemoCache | None = MemoCache()
         elif memo is False or memo is None:
@@ -255,7 +201,7 @@ class CampaignEngine:
         """Solve every ``(chain, strategy)`` instance at one budget.
 
         Returns one :class:`StrategyArrays` per canonical strategy name, with
-        row ``i`` holding chain ``i``'s outcome — independent of backend, job
+        row ``i`` holding chain ``i``'s outcome — independent of tier, job
         count, and cache state.
 
         With ``certify=True`` every solution is audited by the independent
@@ -324,10 +270,7 @@ class CampaignEngine:
                                 self.journal.commit()
                 finally:
                     # An interrupt mid-campaign must not lose finished
-                    # chunks, and an abandoned campaign must never leak a
-                    # shared-memory segment (destroy is idempotent: the
-                    # normal path already tore the planes down).
-                    self._destroy_planes()
+                    # chunks.
                     if self.journal is not None:
                         self.journal.commit()
         return arrays
@@ -419,14 +362,12 @@ class CampaignEngine:
         jobs: int,
         certify: bool = False,
     ) -> "Iterator[UnitOutcome]":
-        """Run the pending instances on the configured backend.
+        """Run the pending instances on the tier ``jobs`` selects.
 
         Yields one :class:`~repro.engine.batch.UnitOutcome` per completed
-        work unit (the journal fsync granularity), every outcome already
-        *hydrated*: units that published their cells to the shared-memory
-        result planes are harvested back into ordinary rows here, so the
-        assembly code upstream never knows which transport a result took.
-        With resilience enabled, execution runs through the
+        work unit (the journal fsync granularity), feeding each unit's
+        measured wall to the planner's cost model on the way.  With
+        resilience enabled, execution runs through the
         retry/degradation/quarantine ladder of
         :mod:`repro.engine.resilience`; otherwise failures propagate
         immediately (fail-fast), though the pool is still shut down with
@@ -437,14 +378,8 @@ class CampaignEngine:
             # Cache fingerprints before a pool's feeder thread pickles chains.
             item.chain.fingerprint
             names.update(dict.fromkeys(item.strategies))
-        pool_cls = _pool_factory(self.backend, jobs)
-        tier = (
-            "serial"
-            if pool_cls is None
-            else ("thread" if pool_cls is ThreadPoolExecutor else "process")
-        )
-        obs_config = self.obs.worker_config()
-        if pool_cls is None and self.journal is None:
+        tier = "serial" if jobs <= 1 else "process"
+        if tier == "serial" and self.journal is None:
             # Serial fast path: one unit, zero chunk overhead.
             groups = [tuple(pending)]
         else:
@@ -453,88 +388,56 @@ class CampaignEngine:
                 jobs=jobs,
                 cost_snapshot=self._cost_model.snapshot(),
                 unit_wall=self.unit_wall,
-                chunk_size=self.chunk_size,
                 spans={name: batch_span(name) for name in names},
             )
+        units = units_from_groups(
+            groups, resources, certify=certify,
+            faults=self.faults, tier=tier, obs=self.obs.worker_config(),
+        )
 
-        planes: "ResultPlanes | None" = None
-        if tier == "process" and self.shared_results:
-            planes = ResultPlanes.allocate(
-                tuple(names), 1 + max(item.index for item in pending), resources.ktype
-            )
-        self._active_planes = planes
-        try:
-            units = units_from_groups(
-                groups, resources, certify=certify,
-                faults=self.faults, tier=tier, obs=obs_config,
-                worker_memo=self.worker_memo,
-                planes=planes.descriptor if planes is not None else None,
-            )
-
-            if self.resilience is not None:
-                report = ResilienceReport()
-                self._last_report = report
-                try:
-                    for outcome in execute_with_resilience(
-                        units, jobs=jobs, config=self.resilience,
-                        report=report, planes=planes,
-                    ):
-                        yield self._hydrate(outcome, units, planes)
-                finally:
-                    self._all_failures.extend(report.failures)
-                    self._absorb_report(report)
-                return
-
-            if pool_cls is None:
-                for unit in units:
-                    yield self._hydrate(solve_unit(unit), units, planes)
-                return
-
-            workers = min(jobs, len(units))
-            pool = pool_cls(max_workers=workers)
-            clean = False
+        if self.resilience is not None:
+            report = ResilienceReport()
+            self._last_report = report
             try:
-                for outcome in pool.map(solve_unit, units):
-                    yield self._hydrate(outcome, units, planes)
-                clean = True
+                for outcome in execute_with_resilience(
+                    units, jobs=jobs, config=self.resilience, report=report
+                ):
+                    yield self._observe_cost(outcome, units)
             finally:
-                pool.shutdown(wait=clean, cancel_futures=not clean)
+                self._all_failures.extend(report.failures)
+                self._absorb_report(report)
+            return
+
+        if tier == "serial":
+            for unit in units:
+                yield self._observe_cost(solve_unit(unit), units)
+            return
+
+        pool = SpreadProcessPool(max_workers=min(jobs, len(units)))
+        clean = False
+        try:
+            for outcome in pool.map(solve_unit, units):
+                yield self._observe_cost(outcome, units)
+            clean = True
         finally:
-            self._destroy_planes()
+            pool.shutdown(wait=clean, cancel_futures=not clean)
 
-    def _hydrate(
-        self,
-        outcome: UnitOutcome,
-        units: "list[WorkUnit]",
-        planes: "ResultPlanes | None",
+    def _observe_cost(
+        self, outcome: UnitOutcome, units: "list[WorkUnit]"
     ) -> UnitOutcome:
-        """Harvest plane-published outcomes and feed the cost model.
+        """Feed a unit's measured solve wall to the planner's cost model.
 
-        An outcome that comes home with empty rows and a ``unit_id``
-        published its cells to shared memory: re-read exactly that unit's
-        cells (sentinel cells — quarantined instances — simply stay
-        absent).  The unit's measured solve wall updates the planner's cost
-        model either way; estimates steer future chunking only, so this
-        feedback cannot affect results.
+        Estimates steer future chunking only, so this feedback cannot
+        affect results.  Outcomes without a ``unit_id`` (the resilience
+        ladder's serial rung) carry no measurement.
         """
-        if outcome.unit_id is None:
-            return outcome
-        unit = units[outcome.unit_id]
-        if outcome.seconds is not None and outcome.seconds > 0:
+        if outcome.unit_id is not None and outcome.seconds:
             cells: dict[str, int] = {}
-            for item in unit.pending:
+            for item in units[outcome.unit_id].pending:
                 for name in item.strategies:
                     cells[name] = cells.get(name, 0) + 1
             self._cost_model.observe_unit(cells, outcome.seconds)
-        if planes is not None and not outcome.rows:
-            return replace(outcome, rows=planes.harvest(unit.pending))
         return outcome
-
-    def _destroy_planes(self) -> None:
-        """Unlink the active campaign's shared-memory planes (idempotent)."""
-        if self._active_planes is not None:
-            self._active_planes.destroy()
-            self._active_planes = None
 
     def _absorb_report(self, report: ResilienceReport) -> None:
         """Record a resilient execution's recovery counters as metrics.

@@ -5,8 +5,8 @@ every one of its recovery paths is *provoked* under test, not just reasoned
 about.  This module provides the provocation: a :class:`FaultPlan` is a
 picklable, deterministic description of which scheduling instances fail, how,
 and how many times.  Plans ride inside :class:`~repro.engine.batch.WorkUnit`
-objects, so the same faults fire identically on the serial path, in thread
-workers, and in freshly-spawned worker processes.
+objects, so the same faults fire identically on the serial path and in
+freshly-spawned worker processes.
 
 Fault kinds (:data:`FAULT_KINDS`):
 
@@ -56,12 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.binary_search import ScheduleOutcome
 
 __all__ = [
+    "TIERS",
     "FAULT_KINDS",
     "PLATFORM_FAULT_KINDS",
     "InjectedFault",
     "FaultSpec",
     "FaultPlan",
 ]
+
+#: Execution tiers, most parallel first: the rungs of the resilience
+#: ladder (:mod:`repro.engine.resilience`) and the names a fault may target.
+TIERS: tuple[str, ...] = ("process", "serial")
 
 #: Timed platform-event kinds, consumed by the simulator (never per-cell).
 PLATFORM_FAULT_KINDS: tuple[str, ...] = (
@@ -96,9 +101,10 @@ class FaultSpec:
         kind: one of :data:`FAULT_KINDS`.
         fingerprint: target chain fingerprint (``None`` matches every chain).
         strategy: target canonical strategy name (``None`` matches all).
-        tiers: execution tiers the fault is armed on (``None`` = every tier);
-            e.g. ``("process",)`` injects only in worker processes, so the
-            thread/serial rungs of the degradation ladder run clean.
+        tiers: execution tiers the fault is armed on (``None`` = every tier),
+            each one of :data:`TIERS`; e.g.
+            ``("process",)`` injects only in worker processes, so the serial
+            rung of the degradation ladder runs clean.
         times: firings per concrete ``(chain, strategy)`` instance before the
             fault disarms (1 = "fail once, then succeed").
         seconds: sleep duration of ``hang`` faults.
@@ -126,6 +132,12 @@ class FaultSpec:
             raise InvalidParameterError(
                 f"unknown fault kind {self.kind!r}; available: {FAULT_KINDS}"
             )
+        if self.tiers is not None:
+            unknown = [tier for tier in self.tiers if tier not in TIERS]
+            if unknown:
+                raise InvalidParameterError(
+                    f"unknown fault tier(s) {unknown}; available: {TIERS}"
+                )
         if self.times < 1:
             raise InvalidParameterError(f"times must be >= 1, got {self.times}")
         if self.seconds < 0:

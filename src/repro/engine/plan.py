@@ -130,19 +130,16 @@ def plan_units(
     jobs: int,
     cost_snapshot: "tuple[tuple[str, float], ...]" = (),
     unit_wall: float = DEFAULT_UNIT_WALL_S,
-    chunk_size: "int | None" = None,
     spans: "Mapping[str, int] | None" = None,
 ) -> list[tuple[PendingInstance, ...]]:
     """Split pending instances into work-unit groups, deterministically.
 
     A pure function: the same ``(pending, jobs, cost_snapshot, unit_wall,
-    chunk_size, spans)`` always yields the same plan, and every cell of
-    every instance appears in exactly one group.
+    spans)`` always yields the same plan, and every cell of every instance
+    appears in exactly one group.
 
-    ``chunk_size`` is the explicit fixed-row override (the engine's
-    long-standing knob, kept bitwise-compatible with the old chunker);
-    otherwise units target ``unit_wall`` estimated seconds, clamped so a
-    small campaign still fans out into ~:data:`_UNITS_PER_WORKER` units per
+    Units target ``unit_wall`` estimated seconds, clamped so a small
+    campaign still fans out into ~:data:`_UNITS_PER_WORKER` units per
     worker.  Instances are first exploded into single-strategy cells
     grouped by strategy (first-appearance order), so each unit is one
     contiguous ``solve_batch`` shard, and each strategy's cells are split
@@ -158,22 +155,8 @@ def plan_units(
         raise InvalidParameterError(
             f"unit_wall must be > 0 seconds, got {unit_wall}"
         )
-    if chunk_size is not None and chunk_size < 1:
-        raise InvalidParameterError(
-            f"chunk_size must be >= 1, got {chunk_size}"
-        )
-    items = list(pending)
-    if not items:
-        return []
-
-    if chunk_size is not None:
-        return [
-            tuple(items[i : i + chunk_size])
-            for i in range(0, len(items), chunk_size)
-        ]
-
     cells_by_strategy: dict[str, list[PendingInstance]] = {}
-    for item in items:
+    for item in pending:
         for name in item.strategies:
             cells_by_strategy.setdefault(name, []).append(
                 PendingInstance(

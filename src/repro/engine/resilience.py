@@ -12,15 +12,14 @@ fan-out *resilient*:
   :attr:`RetryPolicy.max_attempts` times per tier, with exponential backoff
   and *seeded* jitter (hash-derived, never ``random``: the engine's
   determinism lint forbids entropy in solver paths).
-* **Soft deadlines** — on pooled tiers each dispatch round gets a deadline
-  derived from :attr:`ResilienceConfig.timeout`; units still running are
-  abandoned (their pool is shut down without waiting) and retried.  The
-  serial tier cannot preempt a running solve — deadlines are a pooled-tier
-  guarantee.
+* **Soft deadlines** — on the process tier each dispatch round gets a
+  deadline derived from :attr:`ResilienceConfig.timeout`; units still
+  running are abandoned (their pool is shut down without waiting) and
+  retried.  The serial tier cannot preempt a running solve — deadlines are
+  a process-tier guarantee.
 * **Graceful degradation** — a work unit that keeps failing on the process
-  tier is re-run on the thread tier, and finally instance-by-instance on the
-  serial tier, where failures are isolated to single ``(chain, strategy)``
-  cells.
+  tier is re-run instance-by-instance on the serial tier, where failures
+  are isolated to single ``(chain, strategy)`` cells.
 * **Quarantine** — an instance that still fails serially is recorded as a
   structured :class:`FailureRecord` and the campaign continues; its result
   cells keep the engine's sentinel values (``NaN`` period, ``-1`` cores).
@@ -45,9 +44,7 @@ import pickle
 import time
 from concurrent.futures import (
     BrokenExecutor,
-    Executor,
     Future,
-    ThreadPoolExecutor,
     TimeoutError as FuturesTimeoutError,
     wait,
 )
@@ -65,9 +62,8 @@ from .batch import (
     solve_instance,
     solve_unit,
 )
-from .faults import InjectedFault
+from .faults import TIERS, InjectedFault
 from .memo import InstanceResult
-from .shm import ResultPlanes
 
 _log = logging.getLogger(__name__)
 
@@ -80,15 +76,6 @@ __all__ = [
     "is_transient",
     "execute_with_resilience",
 ]
-
-#: Degradation ladder, most parallel first.
-TIERS: tuple[str, ...] = ("process", "thread", "serial")
-
-#: Executor class per pooled tier (tests may patch in recording doubles).
-_POOL_CLASSES: dict[str, type[Executor]] = {
-    "process": SpreadProcessPool,
-    "thread": ThreadPoolExecutor,
-}
 
 #: Failure types worth retrying: environment/IPC trouble, injected transients,
 #: and certificate rejections (a corrupt *claim* may come from a sick worker —
@@ -171,18 +158,14 @@ class ResilienceConfig:
 
     Attributes:
         retry: the per-tier retry budget and backoff schedule.
-        timeout: soft deadline in seconds for one work unit on a pooled tier
-            (``None`` disables).  Each dispatch round waits
+        timeout: soft deadline in seconds for one work unit on the process
+            tier (``None`` disables).  Each dispatch round waits
             ``timeout * ceil(units / workers)`` so queued units are not
             charged for time spent waiting behind others.
-        degrade: walk the process → thread → serial ladder before
-            quarantining (``False`` jumps from the starting tier straight to
-            the serial isolation pass).
     """
 
     retry: RetryPolicy = field(default=RetryPolicy())
     timeout: "float | None" = None
-    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -223,7 +206,8 @@ class ResilienceReport:
     Attributes:
         retries: transient failures that were retried.
         timeouts: work-unit attempts abandoned at the soft deadline.
-        degradations: tier switches taken with unfinished work.
+        degradations: process → serial switches taken with unfinished work
+            (0 or 1 per execution).
         quarantined: instances that exhausted every recovery path.
         failures: one :class:`FailureRecord` per quarantined instance.
     """
@@ -241,7 +225,6 @@ class _Tracked:
 
     unit: WorkUnit
     attempts: int = 0
-    deterministic: bool = False
 
 
 def execute_with_resilience(
@@ -249,7 +232,6 @@ def execute_with_resilience(
     jobs: int,
     config: ResilienceConfig,
     report: ResilienceReport,
-    planes: "ResultPlanes | None" = None,
 ) -> Iterator[UnitOutcome]:
     """Run work units through the retry/degradation/quarantine ladder.
 
@@ -257,85 +239,40 @@ def execute_with_resilience(
     they finish (order is arbitrary; rows are index-keyed, so assembly stays
     bitwise deterministic).  Quarantined instances appear in ``report`` and
     are simply absent from the yielded rows.
-
-    ``planes`` is the campaign's shared-memory result transport, owned by
-    the caller but *retired here* the moment execution degrades below the
-    process tier: descriptors are stripped from the remaining units and the
-    segments unlinked, so thread/serial reruns ship rows inline and a
-    degraded campaign can never leak ``/dev/shm`` segments.  This is safe
-    mid-stream because outcomes are harvested by the caller as they are
-    yielded — by the time a pass ends, every plane-published outcome has
-    already been read back.
     """
     tracked = [_Tracked(unit=unit) for unit in units]
     start = units[0].tier if units else "serial"
     if start not in TIERS:
         raise InvalidParameterError(f"unknown execution tier {start!r}")
-    pooled = [t for t in TIERS[TIERS.index(start) :] if t != "serial"]
-    if not config.degrade:
-        pooled = pooled[:1]
-
-    for tier in pooled:
-        if tier != "process" and planes is not None:
-            planes = _retire_planes(tracked, planes)
-        runnable = [t for t in tracked if not t.deterministic]
-        held = [t for t in tracked if t.deterministic]
-        if not runnable:
-            break
-        leftovers = yield from _pooled_pass(tier, runnable, jobs, config, report)
-        tracked = held + leftovers
+    if start == "process":
+        tracked = yield from _process_pass(tracked, jobs, config, report)
         if tracked:
             report.degradations += 1
             _log.info(
-                "degrading %d work unit(s) below the %s tier", len(tracked), tier
+                "degrading %d work unit(s) below the process tier", len(tracked)
             )
     if tracked:
-        if planes is not None:
-            planes = _retire_planes(tracked, planes)
         yield from _serial_pass(tracked, config, report)
 
 
-def _retire_planes(
-    tracked: "list[_Tracked]", planes: ResultPlanes
-) -> None:
-    """Strip plane descriptors from units and unlink the segments.
-
-    Called when execution leaves the process tier: thread and serial
-    workers share the engine's address space, so inline rows cost nothing,
-    and keeping segments alive across a degradation would leave them
-    unreachable if the campaign later aborts.  Retried units republish
-    nothing — their descriptors are gone — so the pickled-rows fallback in
-    :func:`~repro.engine.batch.solve_unit` takes over transparently.
-    """
-    for t in tracked:
-        if t.unit.planes is not None:
-            t.unit = replace(t.unit, planes=None)
-    planes.destroy()
-    return None
-
-
-def _pooled_pass(
-    tier: str,
+def _process_pass(
     tracked: "list[_Tracked]",
     jobs: int,
     config: ResilienceConfig,
     report: ResilienceReport,
 ) -> "Generator[UnitOutcome, None, list[_Tracked]]":
-    """One tier of pooled attempts; returns the units that still fail."""
-    pool_cls = _POOL_CLASSES[tier]
+    """Process-tier attempts; returns the units that still fail."""
     policy = config.retry
     pending = list(tracked)
-    for t in pending:
-        t.unit = replace(t.unit, tier=tier)
     held: list[_Tracked] = []
 
     for attempt in range(policy.max_attempts):
         if not pending:
             break
         if attempt:
-            time.sleep(policy.delay(attempt - 1, token=tier))
+            time.sleep(policy.delay(attempt - 1, token="process"))
         workers = max(1, min(jobs, len(pending)))
-        pool = pool_cls(max_workers=workers)
+        pool = SpreadProcessPool(max_workers=workers)
         clean = False
         retry_round: list[_Tracked] = []
         try:
@@ -360,8 +297,7 @@ def _pooled_pass(
                     report.retries += 1
                     retry_round.append(t)
                     _log.debug(
-                        "unit timed out on %s tier (attempt %d); retrying",
-                        tier,
+                        "unit timed out on process tier (attempt %d); retrying",
                         t.attempts,
                     )
                     continue
@@ -374,13 +310,11 @@ def _pooled_pass(
                         report.retries += 1
                         retry_round.append(t)
                         _log.debug(
-                            "transient %s on %s tier (attempt %d); retrying",
+                            "transient %s on process tier (attempt %d); retrying",
                             type(exc).__name__,
-                            tier,
                             t.attempts,
                         )
                     else:
-                        t.deterministic = True
                         held.append(t)
                 elif escalation is None:
                     escalation = exc
@@ -405,7 +339,7 @@ def _serial_pass(
     Observability mirrors :func:`~repro.engine.batch.solve_unit`: each unit
     gets its own local context (activated for the duration, so the ambient
     hooks inside the solvers record into it) and ships its payload home in
-    the yielded outcome — the exact protocol of the pooled tiers, which is
+    the yielded outcome — the exact protocol of the process tier, which is
     what makes counter aggregation tier-independent.
     """
     for t in tracked:

@@ -49,10 +49,11 @@ _FORK_UNSAFE_CTORS = frozenset(
         "TextIOWrapper",
         "BufferedWriter",
         "BufferedReader",
-        # A live shared-memory mapping must never cross a WorkUnit boundary:
-        # workers attach by *name* (repro.engine.shm.PlaneDescriptor), never
-        # by pickled handle — a pickled handle re-registers ownership in the
-        # child's resource tracker and double-unlinks the segment.
+        # A live shared-memory mapping must never cross a WorkUnit boundary.
+        # The engine ships results home as pickled rows and uses no shared
+        # memory, but a pickled handle would re-register ownership in the
+        # child's resource tracker and double-unlink the segment, so any
+        # future shared-memory transport must attach workers by *name*.
         "SharedMemory",
     }
 )

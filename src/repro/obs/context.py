@@ -14,9 +14,9 @@ Three layers, from outermost in:
   the active :class:`ObsContext`.  Instrumentation hooks deep in the core
   algorithms (:func:`counter_add` in ``binary_search``/``herad``/``packing``)
   read it via :func:`current` instead of threading an ``obs`` parameter
-  through every call signature.  Thread-tier pool workers run in the same
-  process but *different threads*, so the engine re-activates the context
-  inside ``solve_unit`` rather than relying on inheritance.
+  through every call signature.  A context is per thread and never
+  inherited, so ``solve_unit`` activates its unit's context itself on
+  whichever thread or process runs it.
 
 The default everywhere is :data:`NULL_CONTEXT`: ``current()`` on a thread
 that never activated anything returns it, and every operation on it is a

@@ -2,9 +2,9 @@
 
 Concurrency model
 -----------------
-Thread-tier campaigns record spans from multiple pool threads at once.
-Rather than serialising every span append through one lock (which would put
-a lock acquisition on the solve hot path), each thread gets its own buffer
+A tracer may record spans from several threads at once.  Rather than
+serialising every span append through one lock (which would put a lock
+acquisition on the solve hot path), each thread gets its own buffer
 and span stack via :class:`threading.local`; the only locked operation is
 registering a brand-new thread's buffer, which happens once per thread.
 ``collect()`` merges all buffers into one deterministic order.

@@ -178,12 +178,121 @@ class TestMixedJournal:
         assert load_journal(path) == {self._K3_KEY: self._K3_RESULT}
 
 
+#: One journal row per impossible result the loader must reject, each a
+#: single-field mutation of a valid (10, 10) row.
+_GOOD_ROW = {
+    "fp": "fpV",
+    "big": 10,
+    "little": 10,
+    "strategy": "fertac",
+    "period": 4.5,
+    "big_used": 3,
+    "little_used": 2,
+}
+_BAD_ROWS = {
+    "negative_period": {"period": -5},
+    "zero_period": {"period": 0},
+    "nan_period": {"period": float("nan")},
+    "infeasible_with_usage": {"period": float("inf")},
+    "bool_period": {"period": True},
+    "big_used_above_count": {"big_used": 99},
+    "negative_little_used": {"little_used": -1},
+    "bool_little_used": {"little_used": True},
+    "bool_count": {"big": True},
+    "unregistered_strategy": {"strategy": "nosuch"},
+}
+
+
+def _row_line(**changes):
+    import json
+
+    return json.dumps({**_GOOD_ROW, **changes}) + "\n"
+
+
+class TestRowValidation:
+    """Impossible rows never replay (ROADMAP item 4's four examples and the
+    rules behind them), and a rejected line is counted, not fatal."""
+
+    def test_good_row_decodes(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(_row_line())
+        ((key, result),) = load_journal(path).items()
+        assert key == ("fpV", (10, 10), "fertac")
+        assert result == InstanceResult(period=4.5, big_used=3, little_used=2)
+
+    @pytest.mark.parametrize("name", sorted(_BAD_ROWS))
+    def test_impossible_row_is_rejected(self, tmp_path, name):
+        path = tmp_path / "run.jsonl"
+        path.write_text(_row_line(**_BAD_ROWS[name]))
+        assert load_journal(path) == {}
+
+    def test_infeasible_row_with_zero_usage_is_kept(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            _row_line(period=float("inf"), big_used=0, little_used=0)
+        )
+        ((_, result),) = load_journal(path).items()
+        assert result.period == float("inf")
+
+    @pytest.mark.parametrize(
+        "counts,used,kept",
+        [
+            ([10, 4, 2], [2, 1, 2], True),
+            ([10, 4, 2], [2, 1], False),  # one usage entry short of k
+            ([10, 4, 2], [2, 1, 2, 0], False),  # one usage entry too many
+            ([10, 4, 2], [2, 1, 3], False),  # above the third type's count
+            ([10, 4, 2], [2, 1, True], False),
+            ([4], [1, 0], True),  # one type: little_used is recorded as 0
+            ([4], [1, 1], False),
+            ([], [], False),
+        ],
+    )
+    def test_ktype_usage_must_match_the_key(self, tmp_path, counts, used, kept):
+        import json
+
+        row = {
+            "fp": "fpK",
+            "counts": counts,
+            "strategy": "ktype_ref",
+            "period": 2.5,
+            "used": used,
+        }
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        assert bool(load_journal(path)) is kept
+
+    def test_bad_row_after_good_row_does_not_override(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            _row_line()
+            + "".join(_row_line(**changes) for changes in _BAD_ROWS.values())
+        )
+        ((_, result),) = load_journal(path).items()
+        assert result == InstanceResult(period=4.5, big_used=3, little_used=2)
+
+    def test_rejected_rows_are_counted_on_replay(self, tmp_path):
+        from repro.obs import Observability, ObsConfig
+        from repro.obs.context import activate
+
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            _row_line()
+            + _row_line(period=-5)
+            + _row_line(strategy="nosuch")
+            + "torn{\n"
+        )
+        obs = Observability(ObsConfig(metrics=True))
+        with activate(obs.context()):
+            assert CheckpointJournal(path).replay_into(MemoCache()) == 1
+        assert obs.metrics.counter("journal.rejected") == 3
+
+
 class TestEngineJournaling:
     def test_campaign_is_journaled_per_instance(self, tmp_path):
         chains = _chains(5)
         resources = Resources(2, 2)
         path = tmp_path / "run.jsonl"
-        engine = CampaignEngine(jobs=1, backend="serial", journal=path)
+        engine = CampaignEngine(jobs=1, journal=path)
         engine.solve_instances(chains, resources, ("fertac", "herad"))
         engine.journal.close()
         assert len(load_journal(path)) == 10  # 5 chains x 2 strategies
@@ -192,18 +301,18 @@ class TestEngineJournaling:
         chains = _chains(6)
         resources = Resources(2, 2)
         reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
+            jobs=1, memo=False
         ).solve_instances(chains, resources, ("fertac",))
 
         path = tmp_path / "run.jsonl"
-        first = CampaignEngine(jobs=1, backend="serial", journal=path)
+        first = CampaignEngine(jobs=1, journal=path)
         _assert_same_arrays(
             first.solve_instances(chains, resources, ("fertac",)), reference
         )
         first.journal.close()
 
         # A fresh engine (fresh memo) resumes purely from the journal.
-        second = CampaignEngine(jobs=1, backend="serial", journal=path)
+        second = CampaignEngine(jobs=1, journal=path)
         _assert_same_arrays(
             second.solve_instances(chains, resources, ("fertac",)), reference
         )
@@ -226,11 +335,11 @@ class TestEngineJournaling:
         chains = _chains(3)
         resources = Resources(2, 2)
         reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
+            jobs=1, memo=False
         ).solve_instances(chains, resources, ("fertac",))
 
         path = tmp_path / "run.jsonl"
-        first = CampaignEngine(jobs=1, backend="serial", journal=path)
+        first = CampaignEngine(jobs=1, journal=path)
         first.solve_instances(chains, resources, ("fertac",))
         first.journal.close()
 
@@ -248,16 +357,53 @@ class TestEngineJournaling:
                 )
 
         # Control: without certify the poisoned rows do replay.
-        replayed = CampaignEngine(jobs=1, backend="serial", journal=path)
+        replayed = CampaignEngine(jobs=1, journal=path)
         tampered = replayed.solve_instances(chains, resources, ("fertac",))
         replayed.journal.close()
         assert tampered["fertac"].periods[0] == pytest.approx(
             reference["fertac"].periods[0] * 0.5
         )
 
-        certified = CampaignEngine(jobs=1, backend="serial", journal=path)
+        certified = CampaignEngine(jobs=1, journal=path)
         arrays = certified.solve_instances(
             chains, resources, ("fertac",), certify=True
         )
         certified.journal.close()
         _assert_same_arrays(arrays, reference)  # fresh solves, not the poison
+
+    def test_resume_ignores_impossible_rows(self, tmp_path):
+        """A bad row written after a good one for the same key cannot
+        override it on --resume; the engine counts what it skipped."""
+        from repro.core.chain_stats import ChainProfile
+        from repro.obs import ObsConfig
+
+        chains = _chains(3)
+        resources = Resources(10, 10)
+        reference = CampaignEngine(jobs=1, memo=False).solve_instances(
+            chains, resources, ("fertac",)
+        )
+        path = tmp_path / "run.jsonl"
+        first = CampaignEngine(jobs=1, journal=path)
+        first.solve_instances(chains, resources, ("fertac",))
+        first.journal.close()
+
+        fingerprint = ChainProfile(chains[0]).fingerprint
+        with path.open("a") as handle:
+            for changes in (
+                {"period": -5},
+                {"big_used": 99},
+                {"little_used": True},
+                {"strategy": "nosuch"},
+            ):
+                handle.write(_row_line(fp=fingerprint, **changes))
+
+        resumed = CampaignEngine(
+            jobs=1, journal=path, obs=ObsConfig(metrics=True)
+        )
+        arrays = resumed.solve_instances(chains, resources, ("fertac",))
+        resumed.journal.close()
+        _assert_same_arrays(arrays, reference)
+        assert resumed.memo is not None
+        assert resumed.memo.stats.hits == len(chains)  # all replayed
+        assert resumed.obs.metrics.counter("journal.rejected") == 4
+        assert resumed.obs.metrics.counter("journal.replayed") == len(chains)

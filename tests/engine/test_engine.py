@@ -12,7 +12,6 @@ from repro.core.errors import InvalidParameterError
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
 from repro.engine import (
-    BACKENDS,
     CampaignEngine,
     FaultPlan,
     FaultSpec,
@@ -83,10 +82,11 @@ class TestBatch:
             PendingInstance(index=i, chain=c, strategies=("fertac",))
             for i, c in enumerate(chains)
         ]
-        groups = plan_units(pending, jobs=1, chunk_size=2)
+        # A vanishing unit wall puts each scalar-strategy cell in its own unit.
+        groups = plan_units(pending, jobs=1, unit_wall=1e-9)
         units = units_from_groups(groups, Resources(2, 2))
-        assert [len(u.pending) for u in units] == [2, 2, 1]
-        assert [u.unit_id for u in units] == [0, 1, 2]
+        assert [len(u.pending) for u in units] == [1, 1, 1, 1, 1]
+        assert [u.unit_id for u in units] == [0, 1, 2, 3, 4]
         flat = [item.index for u in units for item in u.pending]
         assert flat == [0, 1, 2, 3, 4]
 
@@ -111,22 +111,24 @@ class TestBatch:
 class TestDeterminism:
     """jobs=1 and jobs=N must produce bitwise-identical arrays."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_serial_bitwise(self, backend):
+    @pytest.mark.parametrize("jobs", [pytest.param(2, id="process")])
+    def test_parallel_matches_serial_bitwise(self, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        serial = CampaignEngine(jobs=1, backend="serial", memo=False)
-        parallel = CampaignEngine(jobs=2, backend=backend, memo=False, chunk_size=2)
+        serial = CampaignEngine(jobs=1, memo=False)
+        parallel = CampaignEngine(jobs=jobs, memo=False, unit_wall=1e-9)
         _assert_same_arrays(
             serial.solve_instances(chains, resources, PAPER_ORDER),
             parallel.solve_instances(chains, resources, PAPER_ORDER),
         )
 
     def test_chunk_size_does_not_matter(self):
+        """Work-unit size (a vanishing unit wall vs the planner's default)
+        changes the plan, never the arrays."""
         chains = _chains(5)
         resources = Resources(2, 3)
-        a = CampaignEngine(jobs=2, backend="process", memo=False, chunk_size=1)
-        b = CampaignEngine(jobs=2, backend="process", memo=False, chunk_size=4)
+        a = CampaignEngine(jobs=2, memo=False, unit_wall=1e-9)
+        b = CampaignEngine(jobs=2, memo=False)
         _assert_same_arrays(
             a.solve_instances(chains, resources, ("herad", "fertac")),
             b.solve_instances(chains, resources, ("herad", "fertac")),
@@ -151,7 +153,7 @@ class TestDeterminism:
         )
         b = run_campaign(
             resources, 0.5, jobs=2,
-            engine=CampaignEngine(memo=False, backend="process"), **kwargs,
+            engine=CampaignEngine(memo=False), **kwargs,
         )
         for name in a.records:
             np.testing.assert_array_equal(
@@ -208,13 +210,20 @@ class TestMemoIntegration:
 
 class TestEngineConfig:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            CampaignEngine(backend="gpu")
-        assert "serial" in BACKENDS
+        """The backend switch is retired: ``jobs`` alone picks the tier."""
+        with pytest.raises(TypeError):
+            CampaignEngine(backend="thread")
+        import repro.engine
+
+        assert not hasattr(repro.engine, "BACKENDS")
+        assert repro.engine.TIERS == ("process", "serial")
 
     def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            CampaignEngine(chunk_size=0)
+        """The fixed-row override is retired; ``unit_wall`` sizes units."""
+        with pytest.raises(TypeError):
+            CampaignEngine(chunk_size=2)
+        with pytest.raises(InvalidParameterError):
+            CampaignEngine(unit_wall=0.0)
 
     def test_default_engine_is_a_singleton_until_reset(self):
         reset_default_engine()
@@ -274,7 +283,7 @@ class TestSpreadProcessPool:
 class TestSentinelPrefill:
     def test_arrays_prefilled_with_sentinels_not_garbage(self):
         """Unsolved cells are NaN/-1, never uninitialized np.empty memory."""
-        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine = CampaignEngine(jobs=1, memo=False)
         arrays = engine.solve_instances([], Resources(2, 2), ("fertac",))
         assert arrays["fertac"].periods.shape == (0,)
         # With chains, every cell must be overwritten by a real solve.
@@ -287,18 +296,19 @@ class TestSentinelPrefill:
 class TestResilientDeterminism:
     """Resilience enabled + no faults must stay bitwise identical."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_fault_free_resilient_matches_serial_bitwise(self, backend):
+    @pytest.mark.parametrize(
+        "jobs", [pytest.param(1, id="serial"), pytest.param(4, id="process")]
+    )
+    def test_fault_free_resilient_matches_serial_bitwise(self, jobs):
         from repro.engine import ResilienceConfig, RetryPolicy
 
         chains = _chains(6)
         resources = Resources(3, 3)
-        serial = CampaignEngine(jobs=1, backend="serial", memo=False)
+        serial = CampaignEngine(jobs=1, memo=False)
         resilient = CampaignEngine(
-            jobs=1 if backend == "serial" else 4,
-            backend=backend,
+            jobs=jobs,
             memo=False,
-            chunk_size=2,
+            unit_wall=1e-9,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
                 timeout=60.0,
@@ -317,7 +327,7 @@ class TestResilientDeterminism:
 
 
 class TestKernelTier:
-    """Every engine unit solves through ``solve_batch``, on every backend.
+    """Every engine unit solves through ``solve_batch``, on both tiers.
 
     Parity is pinned against the scalar reference map
     ``[info.func(p, r) for p in profiles]`` (no engine in the loop).
@@ -332,14 +342,12 @@ class TestKernelTier:
         assert not hasattr(repro.engine, "KERNELS")
 
     @pytest.mark.parametrize(
-        "backend,jobs", [("serial", 1), ("thread", 2), ("process", 4)]
+        "jobs", [pytest.param(1, id="serial-1"), pytest.param(4, id="process-4")]
     )
-    def test_batch_kernel_bitwise_parity(self, backend, jobs):
+    def test_batch_kernel_bitwise_parity(self, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=2
-        )
+        engine = CampaignEngine(jobs=jobs, memo=False, unit_wall=1e-9)
         _assert_same_arrays(
             scalar_arrays(chains, resources, PAPER_ORDER),
             engine.solve_instances(chains, resources, PAPER_ORDER),
@@ -347,7 +355,7 @@ class TestKernelTier:
 
     def test_batch_kernel_with_certification(self):
         chains = _chains(4)
-        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine = CampaignEngine(jobs=1, memo=False)
         arrays = engine.solve_instances(
             chains, Resources(2, 3), PAPER_ORDER, certify=True
         )
@@ -379,8 +387,8 @@ class TestKernelTier:
         chains = _chains(5)
         resources = Resources(3, 3)
 
-        def run(jobs=1, backend="serial"):
-            engine = CampaignEngine(jobs=jobs, backend=backend, memo=MemoCache())
+        def run(jobs=1):
+            engine = CampaignEngine(jobs=jobs, memo=MemoCache())
             engine.solve_instances(chains, resources, PAPER_ORDER)
             engine.solve_instances(chains, resources, PAPER_ORDER)
             stats = engine.memo.stats
@@ -392,4 +400,4 @@ class TestKernelTier:
             len(chains) * len(PAPER_ORDER),
         )
         assert run() == want
-        assert run(jobs=4, backend="process") == want
+        assert run(jobs=4) == want

@@ -11,7 +11,7 @@ from repro.core.errors import (
     SchedulingError,
 )
 from repro.core.types import Resources
-from repro.engine import FAULT_KINDS, FaultPlan, FaultSpec, InjectedFault
+from repro.engine import FAULT_KINDS, TIERS, FaultPlan, FaultSpec, InjectedFault
 from repro.engine.batch import solve_instance
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
@@ -43,6 +43,17 @@ class TestFaultSpecValidation:
         for kind in FAULT_KINDS:
             assert FaultSpec(kind=kind).kind == kind
 
+    @pytest.mark.parametrize(
+        "tiers", [("thread",), ("proces",), ("process", "Serial"), ("",)]
+    )
+    def test_rejects_unknown_tier(self, tiers):
+        """A misspelled or retired tier would silently never fire."""
+        with pytest.raises(InvalidParameterError, match="fault tier"):
+            FaultSpec(kind="raise", tiers=tiers)
+
+    def test_every_tier_is_targetable(self):
+        assert FaultSpec(kind="raise", tiers=TIERS).tiers == TIERS
+
 
 class TestMatching:
     def test_wildcards_match_everything(self):
@@ -57,13 +68,12 @@ class TestMatching:
 
     def test_strategy_scoping(self):
         spec = FaultSpec(kind="raise", strategy="fertac")
-        assert spec.matches("abc", "fertac", "thread")
-        assert not spec.matches("abc", "herad", "thread")
+        assert spec.matches("abc", "fertac", "serial")
+        assert not spec.matches("abc", "herad", "serial")
 
     def test_tier_scoping(self):
         spec = FaultSpec(kind="raise", tiers=("process",))
         assert spec.matches("abc", "fertac", "process")
-        assert not spec.matches("abc", "fertac", "thread")
         assert not spec.matches("abc", "fertac", "serial")
 
 

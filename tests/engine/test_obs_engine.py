@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §10): instrumentation is recorded *about*
 the campaign and never consulted by it — results are bitwise identical with
-observability on or off, for every backend — and counters merged from worker
+observability on or off, on both tiers — and counters merged from worker
 payloads are *exact*, not sampled: a ``--jobs 4`` process campaign reports
 the same numbers as the serial run, even with faults firing.
 """
@@ -54,14 +54,14 @@ def _resilience_counters(engine):
 class TestBitwiseParity:
     """Tracing on vs off must not change a single result bit."""
 
-    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("thread", 2), ("process", 4)])
-    def test_traced_matches_untraced(self, backend, jobs):
+    @pytest.mark.parametrize(
+        "jobs", [pytest.param(1, id="serial-1"), pytest.param(4, id="process-4")]
+    )
+    def test_traced_matches_untraced(self, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        plain = CampaignEngine(jobs=jobs, backend=backend, memo=False, chunk_size=2)
-        traced = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=2, obs=True
-        )
+        plain = CampaignEngine(jobs=jobs, memo=False, unit_wall=1e-9)
+        traced = CampaignEngine(jobs=jobs, memo=False, unit_wall=1e-9, obs=True)
         _assert_same_arrays(
             plain.solve_instances(chains, resources, PAPER_ORDER),
             traced.solve_instances(chains, resources, PAPER_ORDER),
@@ -71,7 +71,7 @@ class TestBitwiseParity:
 class TestSpanCoverage:
     def test_root_span_covers_the_campaign_wall_time(self):
         chains = _chains(6)
-        engine = CampaignEngine(jobs=2, backend="process", memo=False, obs=True)
+        engine = CampaignEngine(jobs=2, memo=False, obs=True)
         start = monotonic()
         engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
         wall = monotonic() - start
@@ -85,7 +85,7 @@ class TestSpanCoverage:
 
     def test_trace_of_a_process_campaign_is_chrome_valid(self):
         chains = _chains(6)
-        engine = CampaignEngine(jobs=2, backend="process", memo=False, obs=True)
+        engine = CampaignEngine(jobs=2, memo=False, obs=True)
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
         document = to_chrome_trace(engine.obs.spans(), engine.obs.metrics.snapshot())
         assert validate_chrome_trace(document) == []
@@ -117,22 +117,21 @@ class TestExactCounters:
         chains = _chains(6)
         resources = Resources(3, 3)
 
-        def run(jobs, backend):
+        def run(jobs):
             engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=False, chunk_size=1,
+                jobs=jobs, memo=False, unit_wall=1e-9,
                 obs=ObsConfig(metrics=True),
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
             return engine.obs.metrics.counters()
 
-        serial = run(1, "serial")
+        serial = run(1)
         assert serial["solve.count"] == len(chains) * len(PAPER_ORDER)
         assert serial["binary_search.calls"] > 0
         assert serial["herad.calls"] == len(chains)
         assert not any(name.startswith("worker.") for name in serial)
-        process = run(4, "process")
+        process = run(4)
         assert _deterministic(process) == serial
-        assert _deterministic(run(2, "thread")) == serial
         # The process tier additionally attributed its IPC costs per worker.
         worker_units = {
             name: value
@@ -140,7 +139,9 @@ class TestExactCounters:
             if name.startswith("worker.") and name.endswith(".units")
         }
         assert worker_units
-        assert sum(worker_units.values()) == len(chains)  # chunk_size=1
+        # unit_wall=1e-9: one unit per cell of the three scalar strategies,
+        # one per kernel strategy (herad, 2catac: 6 cells fit one span).
+        assert sum(worker_units.values()) == 3 * len(chains) + 2
 
     def test_faulted_process_counters_match_serial(self, tmp_path):
         """Injected faults: retries/quarantines count identically on every tier."""
@@ -148,12 +149,12 @@ class TestExactCounters:
         resources = Resources(3, 3)
         bug_chain = ChainProfile(chains[2]).fingerprint
 
-        def run(jobs, backend, state_dir):
+        def run(jobs, state_dir):
             plan = FaultPlan(
                 specs=(
                     # One chain's fertac has a deterministic bug -> quarantined.
                     # times is high enough that the bug persists down the whole
-                    # process -> thread -> serial degradation ladder.
+                    # process -> serial degradation ladder.
                     FaultSpec(
                         kind="bug",
                         fingerprint=bug_chain,
@@ -167,9 +168,8 @@ class TestExactCounters:
             )
             engine = CampaignEngine(
                 jobs=jobs,
-                backend=backend,
                 memo=False,
-                chunk_size=1,
+                unit_wall=1e-9,
                 resilience=ResilienceConfig(
                     retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
                 ),
@@ -179,10 +179,8 @@ class TestExactCounters:
             arrays = engine.solve_instances(chains, resources, ("fertac", "herad"))
             return arrays, _resilience_counters(engine), engine
 
-        serial_arrays, serial_counters, _ = run(1, "serial", tmp_path / "serial")
-        process_arrays, process_counters, engine = run(
-            4, "process", tmp_path / "process"
-        )
+        serial_arrays, serial_counters, _ = run(1, tmp_path / "serial")
+        process_arrays, process_counters, engine = run(4, tmp_path / "process")
 
         # Retry and quarantine counts are tier-independent facts about the
         # campaign; degradation counts are not (the serial tier has no ladder
@@ -212,9 +210,9 @@ class TestExactCounters:
         resources = Resources(3, 3)
         cells = len(chains) * len(PAPER_ORDER)
 
-        def run(jobs, backend):
+        def run(jobs):
             engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=True, chunk_size=1,
+                jobs=jobs, memo=True, unit_wall=1e-9,
                 obs=ObsConfig(metrics=True),
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
@@ -228,10 +226,9 @@ class TestExactCounters:
             assert engine.memo.stats.misses == memo_counters["memo.misses"]
             return memo_counters
 
-        serial = run(1, "serial")
+        serial = run(1)
         assert serial == {"memo.hits": float(cells), "memo.misses": float(cells)}
-        assert run(4, "process") == serial
-        assert run(2, "thread") == serial
+        assert run(4) == serial
 
     def test_memo_hit_counters_are_exact(self):
         chains = _chains(4)
@@ -256,10 +253,10 @@ class TestSketchParity:
     """
 
     @staticmethod
-    def _sketches(jobs, backend, chunk_size=1):
+    def _sketches(jobs, unit_wall=1e-9):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=chunk_size,
+            jobs=jobs, memo=False, unit_wall=unit_wall,
             obs=ObsConfig(metrics=True),
         )
         engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
@@ -271,14 +268,13 @@ class TestSketchParity:
         )
 
     def test_process_tier_sketches_are_bitwise_identical_to_serial(self):
-        serial = self._sketches(1, "serial")
+        serial = self._sketches(1)
         assert serial  # every strategy sketched its period stream
         assert {name for name, _ in serial} == {
             f"solve.period.{name}" for name in PAPER_ORDER
         }
-        process = self._sketches(4, "process")
+        process = self._sketches(4)
         assert pickle.dumps(process) == pickle.dumps(serial)
-        assert pickle.dumps(self._sketches(2, "thread")) == pickle.dumps(serial)
 
     def test_batch_kernel_sketches_match_the_scalar_path(self):
         """The period sketches equal ones built from the scalar reference
@@ -295,13 +291,13 @@ class TestSketchParity:
             )
             for name in PAPER_ORDER
         )
-        serial = self._sketches(1, "serial")
+        serial = self._sketches(1)
         assert sorted(serial, key=lambda item: item[0]) == reference
-        planned = self._sketches(4, "process", chunk_size=None)
+        planned = self._sketches(4, unit_wall=None)
         assert pickle.dumps(planned) == pickle.dumps(serial)
 
     def test_quantiles_come_from_the_merged_sketch(self):
-        (first, *_rest) = self._sketches(4, "process")
+        (first, *_rest) = self._sketches(4)
         _name, sketch = first
         assert sketch.count == 6  # one observation per chain
         assert sketch.minimum <= sketch.p50 <= sketch.p99 <= sketch.maximum
@@ -311,17 +307,16 @@ class TestWorkerAttribution:
     """The process tier attributes IPC costs per worker pid."""
 
     @staticmethod
-    def _run(backend, jobs, **engine_kwargs):
+    def _run(jobs):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=1,
-            obs=ObsConfig(metrics=True), **engine_kwargs,
+            jobs=jobs, memo=False, unit_wall=1e-9, obs=ObsConfig(metrics=True)
         )
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
         return engine.obs.metrics.counters(), engine.obs.metrics.snapshot()
 
     def test_process_tier_reports_pickle_and_pool_wait(self):
-        counters, snapshot = self._run("process", 4)
+        counters, snapshot = self._run(4)
         pids = {
             name.split(".")[1]
             for name in counters
@@ -335,22 +330,20 @@ class TestWorkerAttribution:
             assert counters[f"worker.{pid}.pool_wait.seconds"] >= 0.0
         wait = snapshot.sketch("worker.pool_wait.seconds")
         assert wait is not None
-        assert wait.count == 6  # one wait observation per unit (chunk_size=1)
+        # One wait observation per unit: six fertac cells, one herad span.
+        assert wait.count == 7
 
-    def test_serial_and_thread_tiers_record_no_attribution(self):
-        for backend, jobs in (("serial", 1), ("thread", 2)):
-            counters, _ = self._run(backend, jobs)
-            assert not any(name.startswith("worker.") for name in counters)
+    def test_serial_tier_records_no_attribution(self):
+        counters, _ = self._run(1)
+        assert not any(name.startswith("worker.") for name in counters)
 
     def test_worker_memo_shard_elides_duplicate_cells(self):
         chain = _chains(1)[0]
         chains = [chain] * 6  # six copies; memo=False so all six dispatch
-        engine = CampaignEngine(
-            jobs=2, backend="process", memo=False,
-            chunk_size=len(chains),  # one unit -> one worker sees every copy
-            obs=ObsConfig(metrics=True), worker_memo=True,
-        )
-        baseline = CampaignEngine(jobs=1, backend="serial", memo=False)
+        # herad's 50-cell kernel span keeps all six copies in one unit, so
+        # one worker sees every copy.
+        engine = CampaignEngine(jobs=2, memo=False, obs=ObsConfig(metrics=True))
+        baseline = CampaignEngine(jobs=1, memo=False)
         arrays = engine.solve_instances(chains, Resources(3, 3), ("herad",))
         expected = baseline.solve_instances(chains, Resources(3, 3), ("herad",))
         _assert_same_arrays(arrays, expected)
@@ -376,7 +369,7 @@ class TestWorkerAttribution:
 class TestNoOpPath:
     def test_disabled_engine_ships_no_payloads(self):
         chains = _chains(4)
-        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine = CampaignEngine(jobs=1, memo=False)
         assert engine.obs.enabled is False
         assert engine.obs.worker_config() is None
         engine.solve_instances(chains, Resources(2, 2), ("fertac",))

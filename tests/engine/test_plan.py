@@ -1,7 +1,7 @@
 """Cost-adaptive planner: determinism, wall targeting, batch grouping.
 
 The planner's contract (:mod:`repro.engine.plan`): a *pure* function of
-``(pending, jobs, cost snapshot, unit wall, chunk_size)`` whose
+``(pending, jobs, cost snapshot, unit wall, spans)`` whose
 groups partition every pending cell exactly once — results can therefore
 never depend on the plan, only wall time can (the engine's bitwise parity
 across job counts is pinned separately in ``test_scaling.py``).
@@ -49,8 +49,8 @@ class TestPlanDeterminism:
 
     def test_every_cell_planned_exactly_once(self):
         pending = _pending(count=17, strategies=("a", "b", "c"))
-        for chunk_size in (None, 4):
-            groups = plan_units(pending, jobs=3, chunk_size=chunk_size)
+        for unit_wall in (DEFAULT_UNIT_WALL_S, 1e-9):
+            groups = plan_units(pending, jobs=3, unit_wall=unit_wall)
             cells = _cells(groups)
             assert sorted(cells) == sorted(
                 (item.index, name)
@@ -86,18 +86,10 @@ class TestWallTargeting:
         )
         assert len(groups) >= 4  # ~units-per-worker clamp, not one blob
 
-    def test_chunk_size_override_is_fixed_rows(self):
-        pending = _pending(count=10)
-        groups = plan_units(pending, jobs=4, chunk_size=4)
-        assert [len(g) for g in groups] == [4, 4, 2]
-        assert [item.index for g in groups for item in g] == list(range(10))
-
     def test_invalid_parameters_rejected(self):
         pending = _pending(count=2)
         with pytest.raises(InvalidParameterError):
             plan_units(pending, jobs=1, unit_wall=0.0)
-        with pytest.raises(InvalidParameterError):
-            plan_units(pending, jobs=1, chunk_size=0)
 
     def test_empty_pending_empty_plan(self):
         assert plan_units([], jobs=4) == []
@@ -123,11 +115,6 @@ class TestBatchGrouping:
         # 0.3 s of cells at a 0.075 s target: four units of 2-3 cells,
         # never a one-cell tail.
         assert [len(g) for g in groups] == [2, 3, 2, 3]
-
-    def test_batch_with_chunk_size_keeps_fixed_rows(self):
-        pending = _pending(count=6, strategies=("a", "b"))
-        groups = plan_units(pending, jobs=2, chunk_size=3)
-        assert [len(g) for g in groups] == [3, 3]
 
 
 class TestKernelSpans:

@@ -1,6 +1,6 @@
 """Acceptance tests: interrupt a parallel campaign mid-run, resume bitwise.
 
-ISSUE 3's headline guarantee: killing a ``--jobs 8`` process-tier campaign
+The headline guarantee: killing a ``--jobs 8`` process-tier campaign
 mid-run and re-running with the same journal produces arrays bitwise
 identical to an uninterrupted serial run.  The kill is provoked with a
 deterministic ``interrupt`` fault (a Ctrl-C raised inside a worker), which
@@ -9,8 +9,6 @@ that pools are shut down with ``cancel_futures`` on the way out.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from repro.engine import (
     load_journal,
 )
 from repro.engine import resilience as resilience_mod
+from repro.engine.batch import SpreadProcessPool
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 _FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
@@ -48,9 +47,9 @@ class TestInterruptAndResume:
     def test_killed_process_campaign_resumes_bitwise(self, tmp_path):
         chains = _chains(16)
         resources = Resources(2, 2)
-        reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
-        ).solve_instances(chains, resources, ("fertac",))
+        reference = CampaignEngine(jobs=1, memo=False).solve_instances(
+            chains, resources, ("fertac",)
+        )
 
         # A Ctrl-C fired inside one worker process, mid-campaign.
         plan = FaultPlan(
@@ -67,9 +66,8 @@ class TestInterruptAndResume:
         path = tmp_path / "run.jsonl"
         interrupted = CampaignEngine(
             jobs=8,
-            backend="process",
             memo=False,
-            chunk_size=2,
+            unit_wall=1e-9,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
             faults=plan,
@@ -85,9 +83,8 @@ class TestInterruptAndResume:
         # Resume with a fresh engine: replay + solve the remainder.
         resumed = CampaignEngine(
             jobs=8,
-            backend="process",
             memo=False,
-            chunk_size=2,
+            unit_wall=1e-9,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
         )
@@ -105,7 +102,6 @@ class TestInterruptAndResume:
         )
         engine = CampaignEngine(
             jobs=1,
-            backend="serial",
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
             faults=plan,
@@ -114,13 +110,16 @@ class TestInterruptAndResume:
             engine.solve_instances(chains, Resources(2, 2), ("fertac",))
 
 
-class _RecordingThreadPool(ThreadPoolExecutor):
-    """A ThreadPoolExecutor double that records its shutdown arguments."""
+class _RecordingProcessPool(SpreadProcessPool):
+    """A SpreadProcessPool double that records its shutdown arguments and
+    the worker processes it shut down."""
 
     shutdown_calls: "list[tuple[bool, bool]]" = []
+    workers: list = []
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
         type(self).shutdown_calls.append((wait, cancel_futures))
+        type(self).workers.extend((self._processes or {}).values())
         super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
@@ -128,13 +127,15 @@ class TestCleanShutdown:
     def test_interrupted_pool_is_cancelled_not_leaked(
         self, tmp_path, monkeypatch
     ):
-        """On Ctrl-C the pool is shut down with cancel_futures=True and the
+        """On Ctrl-C the pool is shut down with cancel_futures=True, its
 
-        journal retains every chunk that finished before the interrupt.
+        workers exit, and the journal retains every chunk that finished
+        before the interrupt.
         """
-        _RecordingThreadPool.shutdown_calls = []
-        monkeypatch.setitem(
-            resilience_mod._POOL_CLASSES, "thread", _RecordingThreadPool
+        _RecordingProcessPool.shutdown_calls = []
+        _RecordingProcessPool.workers = []
+        monkeypatch.setattr(
+            resilience_mod, "SpreadProcessPool", _RecordingProcessPool
         )
         chains = _chains(6)
         plan = FaultPlan(
@@ -142,7 +143,7 @@ class TestCleanShutdown:
                 FaultSpec(
                     kind="interrupt",
                     fingerprint=ChainProfile(chains[4]).fingerprint,
-                    tiers=("thread",),
+                    tiers=("process",),
                     times=1,
                 ),
             ),
@@ -151,9 +152,8 @@ class TestCleanShutdown:
         path = tmp_path / "run.jsonl"
         engine = CampaignEngine(
             jobs=2,
-            backend="thread",
             memo=False,
-            chunk_size=1,
+            unit_wall=1e-9,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
             faults=plan,
@@ -162,7 +162,12 @@ class TestCleanShutdown:
             engine.solve_instances(chains, Resources(2, 2), ("fertac",))
         engine.journal.close()
 
-        # The dirty round's pool was torn down without waiting on workers.
-        assert (False, True) in _RecordingThreadPool.shutdown_calls
+        # The dirty round's pool was torn down without waiting on workers...
+        assert (False, True) in _RecordingProcessPool.shutdown_calls
+        # ... and none of its worker processes outlives the campaign.
+        assert _RecordingProcessPool.workers
+        for worker in _RecordingProcessPool.workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
         # Chunks completed before the escalation survived in the journal.
         assert len(load_journal(path)) == len(chains) - 1

@@ -1,13 +1,12 @@
-"""Scaling acceptance: the shared-memory process tier changes nothing but speed.
+"""Scaling acceptance: the process tier changes nothing but speed.
 
-ISSUE 10's contract, pinned end to end on oracle-grade workloads:
+The contract, pinned end to end on oracle-grade workloads:
 
 * the scalar reference map vs serial vs ``--jobs 2`` vs ``--jobs 4``
-  produce **bitwise identical** campaign arrays (zero-pickle planes,
+  produce **bitwise identical** campaign arrays (pickled result rows,
   cost-adaptive plans, and worker memo shards are pure transport);
 * killing a ``--jobs`` process campaign mid-run and resuming through the
-  same journal is bitwise identical to an uninterrupted serial run, with
-  results flowing through shared memory on both legs;
+  same journal is bitwise identical to an uninterrupted serial run;
 * the worker memo shard's replayed observations keep the merged ``solve.*``
   counters in cross-tier parity with a serial run of the same campaign.
 """
@@ -64,9 +63,9 @@ def oracle_setup():
     chains = _oracle_chains()
     resources = Resources(3, 3)
     names = tuple(sorted(STRATEGIES))
-    reference = CampaignEngine(
-        jobs=1, backend="serial", memo=False
-    ).solve_instances(chains, resources, names)
+    reference = CampaignEngine(jobs=1, memo=False).solve_instances(
+        chains, resources, names
+    )
     return chains, resources, names, reference
 
 
@@ -74,9 +73,9 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_process_jobs_match_serial(self, oracle_setup, jobs):
         chains, resources, names, reference = oracle_setup
-        arrays = CampaignEngine(
-            jobs=jobs, backend="process", memo=False
-        ).solve_instances(chains, resources, names)
+        arrays = CampaignEngine(jobs=jobs, memo=False).solve_instances(
+            chains, resources, names
+        )
         _assert_same_arrays(arrays, reference)
 
     def test_process_jobs4_batch_kernel_matches_serial(self, oracle_setup):
@@ -85,17 +84,9 @@ class TestBitwiseParity:
         _assert_same_arrays(
             scalar_arrays(chains, resources, names), reference
         )
-        arrays = CampaignEngine(
-            jobs=4, backend="process", memo=False
-        ).solve_instances(chains, resources, names)
-        _assert_same_arrays(arrays, reference)
-
-    def test_shared_results_off_matches_on(self, oracle_setup):
-        """The pickled-rows fallback is the same bits, only slower."""
-        chains, resources, names, reference = oracle_setup
-        arrays = CampaignEngine(
-            jobs=2, backend="process", memo=False, shared_results=False
-        ).solve_instances(chains, resources, names)
+        arrays = CampaignEngine(jobs=4, memo=False).solve_instances(
+            chains, resources, names
+        )
         _assert_same_arrays(arrays, reference)
 
     def test_unit_wall_is_advisory(self, oracle_setup):
@@ -103,18 +94,18 @@ class TestBitwiseParity:
         chains, resources, names, reference = oracle_setup
         for wall in (1e-6, 10.0):
             arrays = CampaignEngine(
-                jobs=2, backend="process", memo=False, unit_wall=wall
+                jobs=2, memo=False, unit_wall=wall
             ).solve_instances(chains, resources, names)
             _assert_same_arrays(arrays, reference)
 
 
-class TestResumeThroughSharedMemory:
+class TestResumeThroughProcessTier:
     def test_kill_then_resume_bitwise(self, tmp_path, oracle_setup):
         chains, resources, _, _ = oracle_setup
         names = ("fertac",)
-        reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
-        ).solve_instances(chains, resources, names)
+        reference = CampaignEngine(jobs=1, memo=False).solve_instances(
+            chains, resources, names
+        )
 
         plan = FaultPlan(
             specs=(
@@ -129,7 +120,7 @@ class TestResumeThroughSharedMemory:
         )
         path = tmp_path / "run.jsonl"
         interrupted = CampaignEngine(
-            jobs=4, backend="process", memo=False, chunk_size=2,
+            jobs=4, memo=False, unit_wall=1e-9,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path, faults=plan,
         )
@@ -137,12 +128,12 @@ class TestResumeThroughSharedMemory:
             interrupted.solve_instances(chains, resources, names)
         interrupted.journal.close()
 
-        # Finished units were journaled from *harvested* shared-memory rows.
+        # Every unit that finished before the interrupt was journaled.
         partial = load_journal(path)
         assert 0 < len(partial) < len(chains)
 
         resumed = CampaignEngine(
-            jobs=4, backend="process", memo=False,
+            jobs=4, memo=False,
             resilience=ResilienceConfig(retry=_FAST), journal=path,
         )
         arrays = resumed.solve_instances(chains, resources, names)
@@ -160,13 +151,12 @@ class TestShardCounterParity:
         names = ("herad",)
 
         serial = CampaignEngine(
-            jobs=1, backend="serial", memo=False, obs=ObsConfig(metrics=True)
+            jobs=1, memo=False, obs=ObsConfig(metrics=True)
         )
         serial.solve_instances(chains, resources, names)
         parallel = CampaignEngine(
-            jobs=2, backend="process", memo=False, chunk_size=len(chains),
-            obs=ObsConfig(metrics=True), worker_memo=True,
-        )
+            jobs=2, memo=False, obs=ObsConfig(metrics=True)
+        )  # herad's kernel span keeps the six copies in one unit
         parallel.solve_instances(chains, resources, names)
 
         serial_counters = serial.obs.metrics.counters()

@@ -264,6 +264,26 @@ def test_metrics_flag_prints_run_report(capsys):
     assert "failures: none" in out
 
 
+def test_metrics_report_counts_rejected_journal_rows(capsys, tmp_path):
+    """An impossible journal row is skipped on --resume and shown as
+    ``journal.rejected`` in the --metrics report; stdout is unchanged."""
+    from repro.engine import reset_default_engine
+
+    journal = tmp_path / "run.jsonl"
+    reset_default_engine()
+    assert main(["table1", "--chains", "2", "--resume", str(journal)]) == 0
+    first = capsys.readouterr().out
+    row = journal.read_text().splitlines()[0]
+    with journal.open("a") as handle:
+        handle.write(row.replace('"period":', '"period":-5,"was":') + "\n")
+    reset_default_engine()
+    argv = ["table1", "--chains", "2", "--resume", str(journal), "--metrics"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(first)
+    assert "journal.rejected = 1" in out
+
+
 def test_flamegraph_flag_writes_validating_collapsed_stacks(capsys, tmp_path):
     """--flamegraph must not change stdout and must pass the structural oracle."""
     from repro.obs import validate_flamegraph
